@@ -11,13 +11,23 @@ Three model kinds are supported:
 
       Phi^{-1}((w+r)/sqrt(2) + 1/2) - Phi^{-1}((w-r)/sqrt(2) + 1/2) = d.
 
-  Writing x, y for the quantiles at the lower/upper band edge, implicit
-  differentiation gives r' = tanh(s) with s = -d*(x+y)/4 (the difference
-  form; it avoids subtracting near-equal squares) and
-  r'' = -d*(1-tanh^2(s))*(x'+y')/4 with x' = (1-r')/(sqrt(2)*phi(x)),
-  y' = (1+r')/(sqrt(2)*phi(y)).  Both quantile arguments must stay inside
-  (0, 1), which forces r < 1/sqrt(2) - |w|; in particular |r'| < 1 and
-  r'' <= 0 everywhere.
+  The band is parametrized by its lower edge quantile x, with y = x + d:
+
+      w = (Phi(x) + Phi(y) - 1)/sqrt(2),   r = (Phi(y) - Phi(x))/sqrt(2).
+
+  r is even in w, so x is solved at a = |w| in upper-tail form
+  Q(x) + Q(y) = c with Q(x) = Phi(-x) and c = 1 - sqrt(2)*a; then
+  r = (Q(x) - Q(y))/sqrt(2), which avoids cancelling Phi(y) - Phi(x)
+  near 1 at the corners where r -> 0.  The solve is Newton on log(Q(x) + Q(y)),
+  safeguarded by the bracket max(Q^{-1}(c), -d/2) <= x <= Q^{-1}(c/2).
+  Differentiating the parametrization gives the jet with no further
+  quantile calls:
+
+      r'  = sign(w) * (phi(y) - phi(x)) / (phi(y) + phi(x)),
+      r'' = -d * (1 - r'^2) / (sqrt(2) * (phi(x) + phi(y))).
+
+  Both quantile arguments must stay inside (0, 1), which forces
+  r < 1/sqrt(2) - |w|; in particular |r'| < 1 and r'' <= 0 everywhere.
 """
 
 from __future__ import annotations
@@ -29,12 +39,15 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.special import ndtr, ndtri
 
 from .geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint, diamond_margin
-from .kernel import std_normal_pdf, std_normal_quantile
+from .kernel import std_normal_pdf
 
 _AXIS_INSET = 1e-9  # positivity is required on the open diamond only
 _SWEEP_POINTS = 1001
+_EDGE_ITERS = 60  # cap; over the diamond, 4 steps suffice for every d in [0.01, 40]
+_EDGE_TOL = 1e-9  # a Newton step this small leaves an error far below one ulp
 
 
 class ModelSpecError(ValueError):
@@ -154,65 +167,65 @@ class GaussianBandRadius:
         if not (math.isfinite(self.d) and self.d > 0):
             raise ModelSpecError(f"d must be positive, got {self.d!r}")
 
-    def _residual_xy(self, w, r):
-        x = std_normal_quantile(0.5 + (w - r) / SQRT2)
-        y = std_normal_quantile(0.5 + (w + r) / SQRT2)
-        return y - x - self.d, x, y
-
     def _solve(self, w, strict: bool):
-        """Root of the gap equation per point: bisection bracket, Newton polish.
+        """Band edges (x, y) and radius r at each point of a 1-D array of w.
 
-        The residual is strictly increasing in r; the bracket upper end
-        1/sqrt(2) - |w| - 1e-15 is forced by the quantile domain.
+        Newton on log(Q(x) + Q(x+d)) - log(c), started at
+        Q^{-1}(c/2) - d/2 and kept inside the bracket
+        [max(Q^{-1}(c), -d/2), Q^{-1}(c/2)]: a step that leaves it is
+        replaced by bisection.  For wide gaps (d >= 5) log(Q(x) + Q(x+d)) is
+        not concave, and unguarded Newton overshoots to where Q underflows.
+        A point stops moving after its first step below _EDGE_TOL, so its
+        result depends on its own w only.
+        r is defined iff 1/sqrt(2) - |w| - 1e-15 > 0; the inset keeps c
+        away from 0 at the corners.  Elsewhere r is NaN, or strict callers
+        get RadiusEvalError.
         """
-        w = np.asarray(w, dtype=float)
-        scalar = w.ndim == 0
-        w = np.atleast_1d(w)
-        hi = DIAMOND_RADIUS - np.abs(w) - 1e-15
-        ok = hi > 0
+        ok = DIAMOND_RADIUS - np.abs(w) - 1e-15 > 0
         if strict and not ok.all():
             bad = w[~ok][0]
             raise RadiusEvalError(
                 f"gaussian_band radius undefined at w={bad!r}: no bracket "
                 "(point at or outside the diamond)"
             )
-        lo = np.zeros_like(w)
-        hi = np.where(ok, hi, 1.0)
-        ws = np.where(ok, w, 0.0)
-        for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            res, _, _ = self._residual_xy(ws, mid)
-            pos = res > 0
-            hi = np.where(pos, mid, hi)
-            lo = np.where(pos, lo, mid)
-        r = 0.5 * (lo + hi)
-        for _ in range(10):
-            res, x, y = self._residual_xy(ws, r)
-            pos = res > 0
-            hi = np.where(pos, r, hi)
-            lo = np.where(pos, lo, r)
-            slope = (1.0 / std_normal_pdf(x) + 1.0 / std_normal_pdf(y)) / SQRT2
-            cand = r - res / slope
-            # inclusive bounds: a zero residual yields cand == r == lo, which
+        d = self.d
+        c = 1.0 - SQRT2 * np.where(ok, np.abs(w), 0.0)
+        hi = -ndtri(0.5 * c)
+        lo = np.maximum(-ndtri(c), -0.5 * d)
+        x = np.maximum(hi - 0.5 * d, lo)
+        moving = np.ones(x.shape, dtype=bool)
+        for _ in range(_EDGE_ITERS):
+            y = x + d
+            g = ndtr(-x) + ndtr(-y)
+            f = np.log(g / c)  # decreasing in x, positive left of the root
+            left = f > 0
+            lo = np.where(left, x, lo)
+            hi = np.where(left, hi, x)
+            cand = x + f * g / (std_normal_pdf(x) + std_normal_pdf(y))
+            # inclusive bounds: an exact root gives cand == x == hi, which
             # must be kept, not replaced by a stale bracket midpoint
-            inside = (cand >= lo) & (cand <= hi)
-            r = np.where(inside, cand, 0.5 * (lo + hi))
-        r = np.where(ok, r, np.nan)
-        return float(r[0]) if scalar else r
+            cand = np.where((cand >= lo) & (cand <= hi), cand, 0.5 * (lo + hi))
+            still = np.abs(cand - x) > _EDGE_TOL
+            x = np.where(moving, cand, x)
+            moving &= still
+            if not moving.any():
+                break
+        y = x + d
+        r = np.where(ok, (ndtr(-x) - ndtr(-y)) / SQRT2, np.nan)
+        return x, y, r
 
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-        return np.reshape(self._solve(w.ravel(), strict=False), w.shape)
+        return np.reshape(self._solve(w.ravel(), strict=False)[2], w.shape)
 
     def jet(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-        r = np.reshape(self._solve(w.ravel(), strict=True), w.shape)
-        _, x, y = self._residual_xy(w, r)
-        s = -self.d * (x + y) / 4.0
-        r_w = np.tanh(s)
-        xp = (1.0 - r_w) / (SQRT2 * std_normal_pdf(x))
-        yp = (1.0 + r_w) / (SQRT2 * std_normal_pdf(y))
-        r_ww = -self.d * (1.0 - r_w * r_w) * (xp + yp) / 4.0
+        x, y, r = self._solve(w.ravel(), strict=True)
+        px = std_normal_pdf(x)
+        py = std_normal_pdf(y)
+        r_w = np.sign(w.ravel()) * (py - px) / (py + px)
+        r_ww = -self.d * (1.0 - r_w * r_w) / (SQRT2 * (px + py))
+        r, r_w, r_ww = (np.reshape(a, w.shape) for a in (r, r_w, r_ww))
         zero = np.zeros_like(r)
         return r, r_w, zero, r_ww, zero
 
@@ -256,7 +269,7 @@ def support_band(model, w: float) -> SupportBand:
     if model.kind == "constant":
         return SupportBand(w, -model.r0, model.r0, 1.0)
     if model.kind == "gaussian_band":
-        r = model._solve(w, strict=True)
+        r = float(model._solve(np.array([w]), strict=True)[2][0])
         return SupportBand(w, -r, r, 1.0)
     if model.kind == "product":
         if len(model.q_coeffs) > 2:

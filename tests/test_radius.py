@@ -1,10 +1,12 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint
+from fhsmooth.kernel import std_normal_quantile
 from fhsmooth.radius import (
     ModelSpecError,
     RadiusEvalError,
@@ -61,8 +63,11 @@ def test_gaussian_solve_residual():
     rng = np.random.default_rng(10)
     w = rng.uniform(-0.6, 0.6, 500)
     r = m.radius(w, np.zeros_like(w))
-    res, _, _ = m._residual_xy(w, r)
-    assert np.max(np.abs(res)) <= 1e-12
+    gap = (
+        std_normal_quantile(0.5 + (w + r) / SQRT2)
+        - std_normal_quantile(0.5 + (w - r) / SQRT2)
+    )
+    assert np.max(np.abs(gap - 1.0)) <= 1e-12
     # independent residual via the stdlib erf
     for wi, ri in zip(w[:50], r[:50]):
         gap = (
@@ -215,3 +220,65 @@ def test_json_errors():
         model_from_json({"kind": "constant"})
     with pytest.raises(ModelSpecError):
         model_from_json({"kind": "product", "p": [0.25]})
+
+
+# High-precision pins for the gaussian band.  The double w is taken as
+# given: a = |w| is exact in mpmath, and r is the 50-digit root of
+# Q(x) + Q(x + d) = 1 - sqrt(2)*a, r = (Q(x) - Q(x + d))/sqrt(2), which
+# _mp_gap_radius below ties to the defining gap equation.
+
+_PIN_KS = np.linspace(-13.0, -0.2, 33)
+_PIN_W = np.concatenate([L - 10.0**_PIN_KS, [0.0, 0.3]])
+
+
+def _mp_radius(w, d):
+    with mpmath.workdps(50):
+        a = abs(mpmath.mpf(w))
+        d = mpmath.mpf(d)
+        c = 1 - mpmath.sqrt(2) * a
+        q = lambda x: mpmath.ncdf(-x)
+        x0 = -mpmath.sqrt(2) * mpmath.erfinv(c - 1) - d / 2
+        x = mpmath.findroot(lambda x: mpmath.log(q(x) + q(x + d)) - mpmath.log(c), x0)
+        return (q(x) - q(x + d)) / mpmath.sqrt(2)
+
+
+def _mp_gap_radius(w, d):
+    with mpmath.workdps(50):
+        a = abs(mpmath.mpf(w))
+        s2 = mpmath.sqrt(2)
+        quantile = lambda p: s2 * mpmath.erfinv(2 * p - 1)
+        gap = lambda r: quantile(0.5 + (a + r) / s2) - quantile(0.5 + (a - r) / s2) - d
+        hi = 1 / s2 - a
+        eps = mpmath.mpf("1e-30")
+        return mpmath.findroot(gap, (hi * eps, hi * (1 - eps)), solver="anderson")
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+def test_gaussian_radius_pinned_to_mpmath(d):
+    m = gaussian_band_radius(d)
+    for w in (0.3, L - 1e-3, L - 1e-9, L - 1e-13):
+        assert abs(_mp_radius(w, d) - _mp_gap_radius(w, d)) <= mpmath.mpf("1e-40")
+    ref = np.array([float(_mp_radius(w, d)) for w in _PIN_W])
+    for sign in (1.0, -1.0):
+        w = sign * _PIN_W
+        r = m.radius(w, np.zeros_like(w))
+        err = np.abs(r - ref)
+        assert np.max(err) <= 5e-16
+        interior = L - np.abs(w) >= 1e-5
+        assert np.max(err[interior] / ref[interior]) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+def test_gaussian_jet_pinned_to_mpmath(d):
+    m = gaussian_band_radius(d)
+    w = _PIN_W[L - np.abs(_PIN_W) >= 1e-5]
+    w = np.concatenate([w, -w])
+    _, r_w, _, r_ww, _ = m.jet(w, np.zeros_like(w))
+    for i, wi in enumerate(w):
+        d1 = mpmath.diff(lambda s: _mp_radius(s, d), mpmath.mpf(wi))
+        d2 = mpmath.diff(lambda s: _mp_radius(s, d), mpmath.mpf(wi), 2)
+        if wi == 0.0:
+            assert r_w[i] == 0.0
+        else:
+            assert abs(r_w[i] - d1) <= 1e-10 * abs(d1)
+        assert abs(r_ww[i] - d2) <= 1e-6 * abs(d2)
