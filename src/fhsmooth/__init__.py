@@ -12,35 +12,22 @@ oracle, and samples by conditional inversion.
 from .checker import CopulaCheckReport, check_copula, rectangle_volume
 from .copulas import (
     CopulaSpec,
-    SmoothedEvaluation,
-    band_average,
-    band_average_second_partials,
     copula_density,
     copula_partials,
     copula_values,
-    evaluate_smoothed,
-    fh_value,
     smoothed_density,
-    smoothed_partials,
     smoothed_value,
 )
 from .geometry import (
     DIAMOND_RADIUS,
     DiamondPoint,
     DomainError,
-    DomainLocation,
+    Orientation,
     SquarePoint,
-    classify,
-    diamond_to_square,
+    orientation_for_family,
     square_to_diamond,
 )
-from .kernel import (
-    KernelJet,
-    kernel_jet,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
+from .kernel import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .oracle import OracleError, OracleRequest, disc_average, fd_second_partials
 from .radius import (
     ConstantRadius,
@@ -56,7 +43,6 @@ from .radius import (
     model_from_json,
     model_to_json,
     product_radius,
-    radius_jet,
     support_band,
 )
 from .sampler import (
@@ -69,12 +55,10 @@ from .sampler import (
 )
 from .validator import (
     ContainmentResult,
-    Orientation,
     QuadraticCertificate,
     ValidationReport,
     certify_pointwise,
     containment_check,
-    orientation_for_family,
     sharper_exact_condition,
     validate_model,
 )

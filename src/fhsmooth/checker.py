@@ -71,11 +71,6 @@ def rectangle_volume(spec: CopulaSpec, u1, u2, v1, v2) -> float:
     return float(c[0] - c[1] - c[2] + c[3])
 
 
-def _slice_to_wz(spec: CopulaSpec, s, t):
-    """Map (singular coordinate s, band coordinate t) to (w, z)."""
-    return (s, t) if spec.band_axis == "z" else (t, s)
-
-
 def _band_edges(spec: CopulaSpec, s):
     """Band edges (t-, t+) on each slice s, clipped to the diamond.
 
@@ -84,14 +79,15 @@ def _band_edges(spec: CopulaSpec, s):
     depend on the band coordinate the first Newton step lands on r exactly;
     where no root lies inside the diamond the bracket closes on the boundary.
     """
+    o = spec.orientation
     sign = np.repeat([1.0, -1.0], s.size)
     ss = np.tile(s, 2)
     lo = np.zeros_like(ss)
     hi = DIAMOND_RADIUS - np.abs(ss)
     tau = lo.copy()
     for _ in range(_EDGE_ITERS):
-        r, r_w, r_z, _, _ = spec.model.jet(*_slice_to_wz(spec, ss, sign * tau))
-        r_t = r_z if spec.band_axis == "z" else r_w
+        r, r_w, r_z, _, _ = spec.model.jet(*o.swap(sign * tau, ss))
+        r_t = o.swap(r_w, r_z)[0]
         f = tau - r
         if np.all((np.abs(f) <= _EDGE_TOL) | (hi - lo <= _EDGE_TOL)):
             break
@@ -113,7 +109,7 @@ def _density_mass(spec: CopulaSpec) -> float:
     half = 0.5 * (t_hi - t_lo)
     theta = 0.5 * np.pi * x
     t = mid[:, None] + half[:, None] * np.sin(theta)
-    w, z = _slice_to_wz(spec, np.broadcast_to(s[:, None], t.shape), t)
+    w, z = spec.orientation.swap(t, np.broadcast_to(s[:, None], t.shape))
     dens = copula_density(spec, *wz_to_uv(w, z))
     slice_mass = half * (dens @ (0.5 * np.pi * wts * np.cos(theta)))
     # the (u, v) -> (w, z) change of variables is an isometry: unit Jacobian

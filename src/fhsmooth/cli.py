@@ -20,7 +20,7 @@ from .geometry import DomainError, SquarePoint
 from .radius import ModelSpecError, RadiusEvalError, UnboundedBandError, model_from_json, support_band
 from .sampler import InvalidModelError, sample_batch, to_gaussian
 from .serialize import csv_text, format_float, json_text, write_output
-from .validator import Orientation, validate_model
+from .validator import validate_model
 
 _COPULAS = {
     "w": "fh_lower",
@@ -142,10 +142,7 @@ def _dispatch(parser, args) -> int:
     if args.command == "validate":
         if not spec.smoothed:
             parser.error("validate applies to wbar/mbar only")
-        orientation = (
-            Orientation.UPPER_M if family == "smoothed_upper" else Orientation.LOWER_W
-        )
-        report = validate_model(model, orientation, args.grid_n)
+        report = validate_model(model, spec.orientation, args.grid_n)
         write_output(json_text(report.to_json_dict()), args.out)
         return 0 if report.verdict else 1
 

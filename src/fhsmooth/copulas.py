@@ -21,6 +21,14 @@ where n is the coordinate transverse to the band.  All four collapse to
 the sharp bound's values where |rho| >= 1, so each formula below is a
 single branch-free expression.  The density follows from the derivative
 transform d^2/du dv = (d^2/dw^2 - d^2/dz^2)/2.
+
+The spec's ``Orientation`` (geometry) is the band frame: it maps the
+model's (w, z) jet to (t, n) and back, so each formula is written once for
+both bounds.  All three array functions start from one prelude, which also
+holds the rule for points where r is not a positive number: values fall
+back to the sharp bound on the diamond's boundary (its continuous
+extension there) and raise RadiusEvalError inside; partials and density
+raise wherever it happens.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import SQRT2, SquarePoint, diamond_margin, uv_to_wz
+from .geometry import SQRT2, Orientation, SquarePoint, diamond_margin, orientation_for_family, uv_to_wz
 from .kernel import kernel_arrays
 from .radius import RadiusEvalError
 
@@ -61,35 +69,37 @@ class CopulaSpec:
         return self.family in SMOOTHED_FAMILIES
 
     @property
-    def band_axis(self) -> str:
-        """Coordinate carrying the band: w for the lower family, z for the upper."""
-        return "w" if self.family in ("fh_lower", "smoothed_lower") else "z"
+    def orientation(self) -> Orientation:
+        return orientation_for_family(self.family)
 
 
-@dataclass(frozen=True)
-class SmoothedEvaluation:
-    """Value, partials, density, and band diagnostics at one point."""
+def _prelude(spec: CopulaSpec, u, v, jet: bool):
+    """Frame, radius (or jet in (t, n) order) and rho = t/r on arrays of (u, v).
 
-    value: float
-    du: float
-    dv: float
-    density: float
-    band_average: float
-    rho: float
-
-
-def _fh_values(band_axis, u, v):
-    if band_axis == "w":
-        return np.maximum(u + v - 1.0, 0.0)
-    return np.minimum(u, v)
-
-
-def _split_tn(band_axis, w, z, jets):
-    """Order jet fields as (band coordinate, transverse) pairs."""
-    r, r_w, r_z, r_ww, r_zz = jets
-    if band_axis == "w":
-        return r, w, r_w, r_z, r_ww, r_zz
-    return r, z, r_z, r_w, r_zz, r_ww
+    Where r is not a positive number, rho uses r = 1 and ``good`` is False.
+    That raises RadiusEvalError for a jet, and for a radius away from the
+    diamond's boundary, where the caller has no value to fall back to.
+    """
+    _require_smoothed(spec)
+    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    w, z = uv_to_wz(u, v)
+    o = spec.orientation
+    if jet:
+        r, r_w, r_z, r_ww, r_zz = spec.model.jet(w, z)
+        derivs = (*o.swap(r_w, r_z), *o.swap(r_ww, r_zz))
+    else:
+        r, derivs = spec.model.radius(w, z), ()
+    good = np.isfinite(r) & (r > 0)
+    if not good.all():
+        stuck = ~good if jet else ~good & (diamond_margin(w, z) > _BOUNDARY_TOL)
+        if stuck.any():
+            idx = tuple(np.argwhere(stuck)[0])
+            raise RadiusEvalError(
+                f"radius undefined at u={float(u[idx])!r}, v={float(v[idx])!r}"
+            )
+        r = np.where(good, r, 1.0)
+    rho = o.swap(w, z)[0] / r
+    return u, v, w, good, r, rho, derivs
 
 
 def copula_values(spec: CopulaSpec, u, v):
@@ -99,99 +109,39 @@ def copula_values(spec: CopulaSpec, u, v):
     (e.g. the gaussian band at the two corners on the singular axis) the
     value is the continuous extension, which there equals the sharp bound.
     """
-    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-    w, z = uv_to_wz(u, v)
     if not spec.smoothed:
-        return _fh_values(spec.band_axis, u, v)
-    t = w if spec.band_axis == "w" else z
-    r = spec.model.radius(w, z)
-    good = np.isfinite(r) & (r > 0)
-    r_safe = np.where(good, r, 1.0)
-    g = kernel_arrays(t / r_safe)[0]
-    band = r_safe * g
-    if spec.band_axis == "w":
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        return spec.orientation.fh_values(u, v)
+    u, v, w, good, r, rho, _ = _prelude(spec, u, v, jet=False)
+    band = r * kernel_arrays(rho)[0]
+    if spec.orientation is Orientation.LOWER_W:
         val = (w + band) / SQRT2
     else:
         val = 0.5 + (w - band) / SQRT2
     if not good.all():
-        on_boundary = diamond_margin(w, z) <= _BOUNDARY_TOL
-        stuck = ~good & ~on_boundary
-        if stuck.any():
-            idx = tuple(np.argwhere(stuck)[0])
-            raise RadiusEvalError(
-                f"radius undefined at interior point u={u[idx]!r}, v={v[idx]!r}"
-            )
-        val = np.where(good, val, _fh_values(spec.band_axis, u, v))
+        val = np.where(good, val, spec.orientation.fh_values(u, v))
     return val
 
 
 def copula_partials(spec: CopulaSpec, u, v):
     """First partials (dC/du, dC/dv) of a smoothed copula on arrays."""
-    _require_smoothed(spec)
-    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-    w, z = uv_to_wz(u, v)
-    jets = spec.model.jet(w, z)
-    r, t, r_t, r_n, _, _ = _split_tn(spec.band_axis, w, z, jets)
-    _, g1, _, h = kernel_arrays(t / r)
-    b_t = h * r_t + g1
-    b_n = h * r_n
-    if spec.band_axis == "w":
-        c_w = (1.0 + b_t) / SQRT2
-        c_z = b_n / SQRT2
+    _, _, _, _, r, rho, (r_t, r_n, _, _) = _prelude(spec, u, v, jet=True)
+    _, g1, _, h = kernel_arrays(rho)
+    b_t, b_n = h * r_t + g1, h * r_n
+    if spec.orientation is Orientation.LOWER_W:
+        c_w, c_z = (1.0 + b_t) / SQRT2, b_n / SQRT2
     else:
-        c_w = (1.0 - b_n) / SQRT2
-        c_z = -b_t / SQRT2
+        c_w, c_z = (1.0 - b_n) / SQRT2, -b_t / SQRT2
     return (c_w - c_z) / SQRT2, (c_w + c_z) / SQRT2
 
 
 def copula_density(spec: CopulaSpec, u, v):
     """Density of a smoothed copula on arrays; identically 0 where |rho| >= 1."""
-    _require_smoothed(spec)
-    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-    w, z = uv_to_wz(u, v)
-    b_tt, b_nn = band_average_second_partials(
-        spec.model, w, z, spec.band_axis
-    )
-    return (b_tt - b_nn) / (2.0 * SQRT2)
-
-
-def band_average(model, w, z, band_axis: str):
-    """B = r * g(t/r): the disc average of |w'| (axis 'w') or |z'| (axis 'z')."""
-    w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-    t = w if band_axis == "w" else z
-    r = model.radius(w, z)
-    return r * kernel_arrays(t / r)[0]
-
-
-def band_average_second_partials(model, w, z, band_axis: str, cross: str = "chain"):
-    """Second partials (B_tt, B_nn) of the band average.
-
-    ``cross='chain'`` is the full chain-rule expansion.  ``cross='single'``
-    keeps only one of the two rho*r_t cross terms in B_tt (the two variants
-    differ by g''*rho*r_t/r); it exists solely so tests can compare both
-    against finite differences of B itself.
-    """
-    w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-    jets = model.jet(w, z)
-    r, t, r_t, r_n, r_tt, r_nn = _split_tn(band_axis, w, z, jets)
-    rho = t / r
+    _, _, _, _, r, rho, (r_t, r_n, r_tt, r_nn) = _prelude(spec, u, v, jet=True)
     _, _, g2, h = kernel_arrays(rho)
-    if cross == "chain":
-        b_tt = g2 * (1.0 - rho * r_t) ** 2 / r + h * r_tt
-    elif cross == "single":
-        b_tt = g2 * ((rho * r_t) ** 2 + 1.0 - rho * r_t) / r + h * r_tt
-    else:
-        raise ValueError(f"cross must be 'chain' or 'single', got {cross!r}")
+    b_tt = g2 * (1.0 - rho * r_t) ** 2 / r + h * r_tt
     b_nn = g2 * (rho * r_n) ** 2 / r + h * r_nn
-    return b_tt, b_nn
-
-
-def fh_value(family: str, p: SquarePoint) -> float:
-    """Sharp bound value: max(u+v-1, 0) for fh_lower, min(u, v) for fh_upper."""
-    if family not in FH_FAMILIES:
-        raise ValueError(f"family must be one of {FH_FAMILIES}, got {family!r}")
-    axis = "w" if family == "fh_lower" else "z"
-    return float(_fh_values(axis, np.asarray(p.u), np.asarray(p.v)))
+    return (b_tt - b_nn) / (2.0 * SQRT2)
 
 
 def smoothed_value(spec: CopulaSpec, p: SquarePoint) -> float:
@@ -199,30 +149,8 @@ def smoothed_value(spec: CopulaSpec, p: SquarePoint) -> float:
     return float(copula_values(spec, p.u, p.v))
 
 
-def smoothed_partials(spec: CopulaSpec, p: SquarePoint):
-    du, dv = copula_partials(spec, p.u, p.v)
-    return float(du), float(dv)
-
-
 def smoothed_density(spec: CopulaSpec, p: SquarePoint) -> float:
     return float(copula_density(spec, p.u, p.v))
-
-
-def evaluate_smoothed(spec: CopulaSpec, p: SquarePoint) -> SmoothedEvaluation:
-    """Full evaluation record at one point (value, partials, density, band)."""
-    _require_smoothed(spec)
-    w, z = uv_to_wz(p.u, p.v)
-    t = float(w if spec.band_axis == "w" else z)
-    r = float(spec.model.radius(w, z))
-    du, dv = smoothed_partials(spec, p)
-    return SmoothedEvaluation(
-        value=smoothed_value(spec, p),
-        du=du,
-        dv=dv,
-        density=smoothed_density(spec, p),
-        band_average=float(band_average(spec.model, w, z, spec.band_axis)),
-        rho=t / r,
-    )
 
 
 def _require_smoothed(spec: CopulaSpec):

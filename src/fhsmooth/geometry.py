@@ -4,10 +4,17 @@ The unit square [0,1]^2 maps onto the diamond |w| + |z| <= 1/sqrt(2) via
 w = (v + u - 1)/sqrt(2), z = (v - u)/sqrt(2).  The transform is an isometry
 (rotation by 45 degrees plus a shift), so Euclidean distances are preserved
 and the mixed derivative becomes (d^2/dw^2 - d^2/dz^2)/2 in the new frame.
+
+Each sharp bound kinks along one axis of the diamond: W = max(u+v-1, 0)
+along w = 0 and M = min(u, v) along z = 0.  ``Orientation`` is the band
+frame built on that axis: t is the coordinate across the kink (w for W,
+z for M), which disc averaging spreads into a band, and n the transverse
+coordinate along it.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -58,12 +65,29 @@ class DiamondPoint:
     z: float
 
 
-@dataclass(frozen=True)
-class DomainLocation:
-    """Classification of a diamond point: tag plus signed boundary distance."""
+class Orientation(enum.Enum):
+    """The band frame: which bound is smoothed, and so which axis carries the band."""
 
-    tag: str  # 'interior' | 'boundary' | 'outside'
-    margin: float  # 1/sqrt(2) - |w| - |z|
+    UPPER_M = "upper_M"
+    LOWER_W = "lower_W"
+
+    def swap(self, a, b):
+        """Map a (w, z) pair to (t, n), or (t, n) back to (w, z): its own inverse."""
+        return (b, a) if self is Orientation.UPPER_M else (a, b)
+
+    def fh_values(self, u, v):
+        """The sharp bound itself: min(u, v) for M, max(u + v - 1, 0) for W."""
+        if self is Orientation.UPPER_M:
+            return np.minimum(u, v)
+        return np.maximum(u + v - 1.0, 0.0)
+
+
+def orientation_for_family(family: str) -> Orientation:
+    if family in ("smoothed_upper", "fh_upper"):
+        return Orientation.UPPER_M
+    if family in ("smoothed_lower", "fh_lower"):
+        return Orientation.LOWER_W
+    raise ValueError(f"no orientation for family {family!r}")
 
 
 def uv_to_wz(u, v):
@@ -88,27 +112,3 @@ def diamond_margin(w, z):
 def square_to_diamond(p: SquarePoint) -> DiamondPoint:
     w, z = uv_to_wz(p.u, p.v)
     return DiamondPoint(float(w), float(z))
-
-
-def diamond_to_square(p: DiamondPoint) -> SquarePoint:
-    """Inverse transform; rejects points outside the diamond beyond 1e-12."""
-    if abs(p.w) + abs(p.z) > DIAMOND_RADIUS + COORD_SLACK:
-        raise DomainError(
-            f"point (w={p.w!r}, z={p.z!r}) outside |w|+|z| <= 1/sqrt(2)"
-        )
-    u, v = wz_to_uv(p.w, p.z)
-    return SquarePoint(float(u), float(v))
-
-
-def classify(p: DiamondPoint, tol: float = 1e-12) -> DomainLocation:
-    """Locate a diamond point relative to the boundary at tolerance ``tol``."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    margin = float(diamond_margin(p.w, p.z))
-    if margin > tol:
-        tag = "interior"
-    elif margin < -tol:
-        tag = "outside"
-    else:
-        tag = "boundary"
-    return DomainLocation(tag, margin)

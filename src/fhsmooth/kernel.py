@@ -19,7 +19,6 @@ with all four identically |rho|, sign(rho), 0, 0 outside the open band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -27,17 +26,6 @@ from scipy.special import ndtr, ndtri
 from .geometry import DomainError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class KernelJet:
-    """g, g', g'' and the auxiliary h evaluated at one band coordinate."""
-
-    rho: float
-    g: float
-    g1: float
-    g2: float
-    h: float
 
 
 def kernel_arrays(rho):
@@ -67,12 +55,6 @@ def kernel_arrays(rho):
     g2 = np.where(inside, 4.0 * s / np.pi, 0.0)
     h = np.where(inside, 4.0 * s * s * s / (3.0 * np.pi), 0.0)
     return g, g1, g2, h
-
-
-def kernel_jet(rho: float) -> KernelJet:
-    """Evaluate the kernel and companions at a single band coordinate."""
-    g, g1, g2, h = kernel_arrays(float(rho))
-    return KernelJet(float(rho), float(g), float(g1), float(g2), float(h))
 
 
 def std_normal_cdf(x):

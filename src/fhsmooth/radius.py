@@ -41,7 +41,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import ndtr, ndtri
 
-from .geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint, diamond_margin
+from .geometry import DIAMOND_RADIUS, SQRT2, DomainError
 from .kernel import std_normal_pdf
 
 _AXIS_INSET = 1e-9  # positivity is required on the open diamond only
@@ -101,7 +101,6 @@ class ConstantRadius:
 
     r0: float
     kind = "constant"
-    depends_on_z = False
 
     def __post_init__(self):
         if not (math.isfinite(self.r0) and self.r0 > 0):
@@ -136,10 +135,6 @@ class ProductRadius:
         _sweep_positive(self.p_coeffs, "p(w)")
         _sweep_positive(self.q_coeffs, "q(z)")
 
-    @property
-    def depends_on_z(self) -> bool:
-        return any(c != 0.0 for c in self.q_coeffs[1:])
-
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
         return npoly.polyval(w, self.p_coeffs) * npoly.polyval(z, self.q_coeffs)
@@ -161,13 +156,12 @@ class GaussianBandRadius:
 
     d: float
     kind = "gaussian_band"
-    depends_on_z = False
 
     def __post_init__(self):
         if not (math.isfinite(self.d) and self.d > 0):
             raise ModelSpecError(f"d must be positive, got {self.d!r}")
 
-    def _solve(self, w, strict: bool):
+    def _solve(self, w):
         """Band edges (x, y) and radius r at each point of a 1-D array of w.
 
         Newton on log(Q(x) + Q(x+d)) - log(c), started at
@@ -178,16 +172,9 @@ class GaussianBandRadius:
         A point stops moving after its first step below _EDGE_TOL, so its
         result depends on its own w only.
         r is defined iff 1/sqrt(2) - |w| - 1e-15 > 0; the inset keeps c
-        away from 0 at the corners.  Elsewhere r is NaN, or strict callers
-        get RadiusEvalError.
+        away from 0 at the corners.  Elsewhere x, y and r are NaN.
         """
         ok = DIAMOND_RADIUS - np.abs(w) - 1e-15 > 0
-        if strict and not ok.all():
-            bad = w[~ok][0]
-            raise RadiusEvalError(
-                f"gaussian_band radius undefined at w={bad!r}: no bracket "
-                "(point at or outside the diamond)"
-            )
         d = self.d
         c = 1.0 - SQRT2 * np.where(ok, np.abs(w), 0.0)
         hi = -ndtri(0.5 * c)
@@ -210,17 +197,17 @@ class GaussianBandRadius:
             moving &= still
             if not moving.any():
                 break
+        x = np.where(ok, x, np.nan)
         y = x + d
-        r = np.where(ok, (ndtr(-x) - ndtr(-y)) / SQRT2, np.nan)
-        return x, y, r
+        return x, y, (ndtr(-x) - ndtr(-y)) / SQRT2
 
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-        return np.reshape(self._solve(w.ravel(), strict=False)[2], w.shape)
+        return np.reshape(self._solve(w.ravel())[2], w.shape)
 
     def jet(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-        x, y, r = self._solve(w.ravel(), strict=True)
+        x, y, r = self._solve(w.ravel())
         px = std_normal_pdf(x)
         py = std_normal_pdf(y)
         r_w = np.sign(w.ravel()) * (py - px) / (py + px)
@@ -248,28 +235,22 @@ def gaussian_band_radius(d: float) -> GaussianBandRadius:
     return GaussianBandRadius(float(d))
 
 
-def radius_jet(model, p: DiamondPoint) -> RadiusJet:
-    """Evaluate a model's radius and partials at one strictly interior point."""
-    if not diamond_margin(p.w, p.z) > 0:
-        raise RadiusEvalError(
-            f"radius_jet requires a strictly interior point; got (w={p.w!r}, z={p.z!r})"
-        )
-    r, r_w, r_z, r_ww, r_zz = model.jet(p.w, p.z)
-    return RadiusJet(float(r), float(r_w), float(r_z), float(r_ww), float(r_zz))
-
-
 def support_band(model, w: float) -> SupportBand:
     """Transverse support band at position w along the singular axis.
 
     For the affine-skew product model the fixed point of |z| = p(w)*q(z)
     is solved in closed form; constant and gaussian_band radii do not
-    depend on z, so the band is simply +-r(w).
+    depend on z, so the band is simply +-r(w).  w must lie on the diamond.
     """
     w = float(w)
+    if not abs(w) <= DIAMOND_RADIUS:
+        raise DomainError(f"w={w!r} outside the diamond, |w| <= 1/sqrt(2)")
     if model.kind == "constant":
         return SupportBand(w, -model.r0, model.r0, 1.0)
     if model.kind == "gaussian_band":
-        r = float(model._solve(np.array([w]), strict=True)[2][0])
+        r = float(model.radius(w, 0.0))
+        if math.isnan(r):
+            raise RadiusEvalError(f"gaussian_band radius undefined at w={w!r}")
         return SupportBand(w, -r, r, 1.0)
     if model.kind == "product":
         if len(model.q_coeffs) > 2:
@@ -317,9 +298,7 @@ def model_from_json(source) -> object:
         if kind == "constant":
             return constant_radius(obj["r0"])
         if kind == "product":
-            if "epsilon" in obj:
-                return product_radius(obj["p"], epsilon=obj["epsilon"])
-            return product_radius(obj["p"], q=obj["q"])
+            return product_radius(obj["p"], epsilon=obj.get("epsilon"), q=obj.get("q"))
         if kind == "gaussian_band":
             return gaussian_band_radius(obj["d"])
     except KeyError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .copulas import CopulaSpec, copula_partials
 from .kernel import std_normal_quantile
-from .validator import orientation_for_family, validate_model
+from .validator import validate_model
 
 _MAX_STEPS = 60  # cap on evaluations of f per pair
 _EPS = np.finfo(float).eps
@@ -142,9 +142,7 @@ def sample_batch(spec: CopulaSpec, n: int, seed: int) -> SampleBatch:
         raise InvalidModelError(f"sampling requires a smoothed family, got {spec.family!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    report = validate_model(
-        spec.model, orientation_for_family(spec.family), _VALIDATE_GRID
-    )
+    report = validate_model(spec.model, spec.orientation, _VALIDATE_GRID)
     if not report.verdict:
         raise InvalidModelError(
             "model failed validation "

@@ -10,7 +10,8 @@ Three gates, evaluated on grids:
       a = r_t^2 - r_n^2 - D,  b = -2*r_t,  c = 1 + D,
       D = r*(r_tt - r_nn)/3,
 
-  where t is the band coordinate and n the transverse one;
+  where t is the band coordinate and n the transverse one, as the
+  ``Orientation`` frame (geometry) maps them from the model's (w, z) jet;
 * boundary containment: |t| >= r on the boundary of the diamond, which is
   what makes the averaged bound coincide with the sharp bound there and
   keeps the marginals uniform.
@@ -23,31 +24,19 @@ two, and the finite-difference oracle sides with the chain rule.
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DIAMOND_RADIUS, DiamondPoint, diamond_margin, uv_to_wz
+from .geometry import DIAMOND_RADIUS, DiamondPoint, Orientation, diamond_margin, uv_to_wz
+from .geometry import orientation_for_family  # noqa: F401  (re-exported)
 from .radius import RadiusJet
 
 _QUAD_TOL = -1e-12  # floating noise floor for O(1) quantities
 _CONTAINMENT_TOL = -1e-9
 _BOUNDARY_INSET = 1e-9  # radius models are only guaranteed on the open diamond
 _INTERIOR_MARGIN = 1e-6
-
-
-class Orientation(enum.Enum):
-    """Which bound is being smoothed: the upper (band in z) or lower (band in w)."""
-
-    UPPER_M = "upper_M"
-    LOWER_W = "lower_W"
-
-    @property
-    def band_axis(self) -> str:
-        return "z" if self is Orientation.UPPER_M else "w"
 
 
 @dataclass(frozen=True)
@@ -96,22 +85,9 @@ class ValidationReport:
         }
 
 
-def orientation_for_family(family: str) -> Orientation:
-    if family in ("smoothed_upper", "fh_upper"):
-        return Orientation.UPPER_M
-    if family in ("smoothed_lower", "fh_lower"):
-        return Orientation.LOWER_W
-    raise ValueError(f"no orientation for family {family!r}")
-
-
-def _tn_fields(o: Orientation, r_w, r_z, r_ww, r_zz):
-    if o is Orientation.UPPER_M:
-        return r_z, r_w, r_zz, r_ww
-    return r_w, r_z, r_ww, r_zz
-
-
 def _quad_coeffs(o: Orientation, r, r_w, r_z, r_ww, r_zz):
-    r_t, r_n, r_tt, r_nn = _tn_fields(o, r_w, r_z, r_ww, r_zz)
+    r_t, r_n = o.swap(r_w, r_z)
+    r_tt, r_nn = o.swap(r_ww, r_zz)
     d_term = r * (r_tt - r_nn) / 3.0
     a = r_t * r_t - r_n * r_n - d_term
     b = -2.0 * r_t
@@ -132,7 +108,8 @@ def _quad_min(a, b, c):
 
 
 def _paper_conditions(o: Orientation, r_w, r_z, r_ww, r_zz):
-    r_t, r_n, r_tt, r_nn = _tn_fields(o, r_w, r_z, r_ww, r_zz)
+    r_t, r_n = o.swap(r_w, r_z)
+    r_tt, r_nn = o.swap(r_ww, r_zz)
     cond1 = r_n * r_n <= (0.5 - np.abs(r_t)) ** 2 + 0.75
     cond2 = r_nn <= r_tt
     return cond1 & cond2
@@ -185,9 +162,7 @@ def containment_check(model, o: Orientation, n: int) -> ContainmentResult:
     leg_z = s * (1.0 - t)
     w = np.concatenate([leg_w, leg_w, -leg_w, -leg_w])
     z = np.concatenate([leg_z, -leg_z, leg_z, -leg_z])
-    r = model.radius(w, z)
-    trans = np.abs(z) if o is Orientation.UPPER_M else np.abs(w)
-    margins = trans - r
+    margins = np.abs(o.swap(w, z)[0]) - model.radius(w, z)
     idx = int(np.argmin(margins))
     worst = float(margins[idx])
     return ContainmentResult(

@@ -24,17 +24,17 @@ import pytest
 
 from fhsmooth.checker import check_copula
 from fhsmooth.cli import main as cli_main
+from band_helpers import band_average, band_average_second_partials
 from fhsmooth.copulas import (
     CopulaSpec,
-    band_average,
-    band_average_second_partials,
+    copula_density,
+    copula_partials,
     copula_values,
     smoothed_density,
-    smoothed_partials,
     smoothed_value,
 )
-from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint, SquarePoint, uv_to_wz, wz_to_uv
-from fhsmooth.kernel import kernel_jet, std_normal_quantile
+from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint, SquarePoint, wz_to_uv
+from fhsmooth.kernel import kernel_arrays
 from fhsmooth.oracle import OracleRequest, disc_average, fd_second_partials
 from fhsmooth.radius import constant_radius, gaussian_band_radius, product_radius
 from fhsmooth.sampler import counter_uniforms, sample_batch, to_gaussian
@@ -72,7 +72,7 @@ def test_criterion_1_closed_forms_vs_oracle():
                 else DiamondPoint(offset, other)
             )
             got = disc_average(OracleRequest(integrand, center, radius, 1e-10))
-            want = radius * kernel_jet(rho).g
+            want = radius * kernel_arrays(rho)[0]
             worst = max(worst, abs(got - want) / max(1.0, radius))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -191,9 +191,12 @@ def test_criterion_4_boundary_gap_counterexample():
 
 def test_criterion_5_derivative_adjudication():
     model = product_radius([0.25, 0, -0.2], epsilon=0.3)
+    up = Orientation.UPPER_M
+    spec = CopulaSpec("smoothed_upper", model)
     rng = np.random.default_rng(55)
     worst_chain = 0.0
     worst_single = 0.0
+    worst_density = 0.0
     count = 0
     while count < 50:
         w = rng.uniform(-0.45, 0.45)
@@ -202,41 +205,43 @@ def test_criterion_5_derivative_adjudication():
         if abs(z / r) > 0.9 or L - abs(w) - abs(z) < 0.05:
             continue
         count += 1
-        f = lambda ww, zz: float(band_average(model, ww, zz, "z"))
+        f = lambda ww, zz: float(band_average(model, ww, zz, up))
         _, fd_zz = fd_second_partials(f, DiamondPoint(w, z), 1e-4)
-        chain = float(band_average_second_partials(model, w, z, "z")[0])
-        single = float(band_average_second_partials(model, w, z, "z", cross="single")[0])
-        worst_chain = max(worst_chain, abs(chain - fd_zz) / abs(fd_zz))
+        chain, b_nn = band_average_second_partials(model, w, z, up)
+        single = float(band_average_second_partials(model, w, z, up, single_cross=True)[0])
+        worst_chain = max(worst_chain, abs(float(chain) - fd_zz) / abs(fd_zz))
         worst_single = max(worst_single, abs(single - fd_zz) / abs(fd_zz))
-    ok = worst_chain <= 1e-5 and worst_single > 1e-2
+        # the library's density is built on the chain-rule form
+        want = float(chain - b_nn) / (2 * SQRT2)
+        got = float(copula_density(spec, *wz_to_uv(w, z)))
+        worst_density = max(worst_density, abs(got - want) / abs(want))
+    ok = worst_chain <= 1e-5 and worst_single > 1e-2 and worst_density <= 1e-9
     report(
         5,
         ok,
         f"(chain-rule max rel dev {worst_chain:.2e}; "
-        f"single-cross max rel dev {worst_single:.2e})",
+        f"single-cross max rel dev {worst_single:.2e}; "
+        f"library density vs chain rule {worst_density:.2e})",
     )
     assert worst_chain <= 1e-5
     assert worst_single > 1e-2
+    assert worst_density <= 1e-9
 
 
 def test_criterion_6_regularity_ceiling():
     seam_ok = True
     for eps in (1e-4, 1e-6):
-        above, below = kernel_jet(1 + eps), kernel_jet(1 - eps)
-        seam_ok &= abs(above.g - below.g) <= 5 * eps
-        seam_ok &= abs(above.g1 - below.g1) <= 5 * eps
+        (g_a, g1_a, g2_a, _), (g_b, g1_b, g2_b, _) = kernel_arrays(1 + eps), kernel_arrays(1 - eps)
+        seam_ok &= abs(g_a - g_b) <= 5 * eps
+        seam_ok &= abs(g1_a - g1_b) <= 5 * eps
         # g'' is Holder-1/2 at the seam (forced by the g''' blow-up), so the
         # continuity bound scales as sqrt(eps)
-        seam_ok &= abs(above.g2 - below.g2) <= 3 * math.sqrt(eps)
+        seam_ok &= abs(g2_a - g2_b) <= 3 * math.sqrt(eps)
 
     s = 1e-4
     x = 1 - s
-    g3 = (
-        kernel_jet(x + 2 * s).g
-        - 2 * kernel_jet(x + s).g
-        + 2 * kernel_jet(x - s).g
-        - kernel_jet(x - 2 * s).g
-    ) / (2 * s**3)
+    g = lambda rho: float(kernel_arrays(rho)[0])
+    g3 = (g(x + 2 * s) - 2 * g(x + s) + 2 * g(x - s) - g(x - 2 * s)) / (2 * s**3)
 
     spec = CopulaSpec("smoothed_upper", gaussian_band_radius(1.0))
     r0 = float(spec.model.radius(0.0, 0.0))
@@ -255,9 +260,8 @@ def test_criterion_6_regularity_ceiling():
         for z in (r0 - eps, r0 + eps):
             u, v = wz_to_uv(0.0, z)
             p = SquarePoint(float(u), float(v))
-            vals.append(
-                (smoothed_value(spec, p), *smoothed_partials(spec, p), smoothed_density(spec, p))
-            )
+            du, dv = copula_partials(spec, p.u, p.v)
+            vals.append((smoothed_value(spec, p), float(du), float(dv), smoothed_density(spec, p)))
         inner, outer = vals
         seam_ok &= abs(inner[0] - outer[0]) <= 5 * eps
         seam_ok &= abs(inner[1] - outer[1]) <= 5 * eps

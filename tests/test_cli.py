@@ -11,6 +11,7 @@ from fhsmooth.radius import gaussian_band_radius
 
 GAUSS_JSON = '{"kind":"gaussian_band","d":1.0}'
 CONST_JSON = '{"kind":"constant","r0":0.2}'
+SKEW_JSON = '{"kind":"product","p":[0.25,0,-0.2],"epsilon":0.3}'
 
 
 def run(capsys, *argv):
@@ -128,7 +129,7 @@ def test_sample_gaussian_output(capsys):
 def test_band_command(capsys):
     code, out, _ = run(
         capsys, "band", "--copula", "mbar",
-        "--radius", '{"kind":"product","p":[0.25,0,-0.2],"epsilon":0.3}',
+        "--radius", SKEW_JSON,
         "--w", "0.0",
     )
     assert code == 0
@@ -165,6 +166,11 @@ def test_usage_errors(capsys):
                "--u", "0.5", "--v", "0.5")[0] == 2
     assert run(capsys, "eval", "--copula", "mbar", "--radius", '{"kind":"bogus"}',
                "--u", "0.5", "--v", "0.5")[0] == 2
+    assert run(capsys, "eval", "--copula", "mbar", "--radius", SKEW_JSON[:-1] + ',"q":[5,1]}',
+               "--u", "0.5", "--v", "0.5")[0] == 2
+    for radius, w in [(CONST_JSON, "5"), (CONST_JSON, "nan"), (SKEW_JSON, "-0.8"),
+                      (SKEW_JSON, "nan"), (GAUSS_JSON, "5"), (GAUSS_JSON, "nan")]:
+        assert run(capsys, "band", "--copula", "mbar", "--radius", radius, "--w", w)[0] == 2
 
 
 def test_sample_rejects_invalid_model(capsys):
@@ -179,3 +185,4 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert out.startswith("usage: fhsmooth")
+

@@ -3,21 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from band_helpers import band_average_second_partials
 from fhsmooth.copulas import (
     CopulaSpec,
-    band_average,
-    band_average_second_partials,
     copula_density,
     copula_partials,
     copula_values,
-    evaluate_smoothed,
-    fh_value,
     smoothed_density,
-    smoothed_partials,
     smoothed_value,
 )
-from fhsmooth.geometry import SQRT2, SquarePoint, uv_to_wz
-from fhsmooth.radius import constant_radius, gaussian_band_radius, product_radius
+from fhsmooth.geometry import SQRT2, Orientation, SquarePoint, uv_to_wz, wz_to_uv
+from fhsmooth.kernel import kernel_arrays
+from fhsmooth.radius import RadiusEvalError, constant_radius, gaussian_band_radius, product_radius
 
 G0 = 4.0 / (3.0 * math.pi)
 
@@ -49,9 +46,12 @@ def test_spec_validation():
 
 
 def test_fh_values():
-    assert fh_value("fh_lower", SquarePoint(0.3, 0.5)) == 0.0
-    assert fh_value("fh_upper", SquarePoint(0.3, 0.5)) == 0.3
-    assert fh_value("fh_lower", SquarePoint(0.7, 0.8)) == pytest.approx(0.5, abs=1e-15)
+    lower, upper = Orientation.LOWER_W, Orientation.UPPER_M
+    assert lower.fh_values(0.3, 0.5) == 0.0
+    assert upper.fh_values(0.3, 0.5) == 0.3
+    assert lower.fh_values(0.7, 0.8) == pytest.approx(0.5, abs=1e-15)
+    assert copula_values(CopulaSpec("fh_lower"), 0.7, 0.8) == lower.fh_values(0.7, 0.8)
+    assert copula_values(CopulaSpec("fh_upper"), 0.3, 0.5) == 0.3
 
 
 def test_smoothed_values_constant_model():
@@ -73,10 +73,10 @@ def test_smoothed_value_matches_defining_average():
 
 
 def test_partials_constant_model():
-    du, dv = smoothed_partials(CONST, SquarePoint(0.5, 0.5))
+    du, dv = copula_partials(CONST, 0.5, 0.5)
     assert du == pytest.approx(0.5, abs=1e-14)
     assert dv == pytest.approx(0.5, abs=1e-14)
-    du, dv = smoothed_partials(CONST, SquarePoint(0.2, 0.8))
+    du, dv = copula_partials(CONST, 0.2, 0.8)
     assert du == pytest.approx(1.0, abs=1e-14)
     assert dv == pytest.approx(0.0, abs=1e-14)
 
@@ -84,7 +84,7 @@ def test_partials_constant_model():
 def test_partials_match_finite_differences():
     s = 1e-6
     for (u, v) in [(0.55, 0.5), (0.45, 0.52), (0.3, 0.33), (0.62, 0.6)]:
-        du, dv = smoothed_partials(GAUSS, SquarePoint(u, v))
+        du, dv = copula_partials(GAUSS, u, v)
         c = lambda uu, vv: float(copula_values(GAUSS, uu, vv))
         fd_u = (c(u + s, v) - c(u - s, v)) / (2 * s)
         fd_v = (c(u, v + s) - c(u, v - s)) / (2 * s)
@@ -188,7 +188,6 @@ def test_density_integral_converges_to_one():
 def test_not_c3_across_band_edge():
     # third-difference probe across |rho| = 1 grows past 1e2 at step 1e-4
     r0 = float(GAUSS.model.radius(0.0, 0.0))
-    from fhsmooth.geometry import wz_to_uv
 
     def mbar(z):
         u, v = wz_to_uv(0.0, z)
@@ -204,20 +203,13 @@ def test_not_c3_across_band_edge():
 
 def test_value_partials_density_continuous_across_band_edge():
     r0 = float(GAUSS.model.radius(0.0, 0.0))
-    from fhsmooth.geometry import wz_to_uv
-
     for eps in (1e-4, 1e-6):
         pts = []
         for z in (r0 - eps, r0 + eps):
             u, v = wz_to_uv(0.0, z)
             p = SquarePoint(float(u), float(v))
-            pts.append(
-                (
-                    smoothed_value(GAUSS, p),
-                    *smoothed_partials(GAUSS, p),
-                    smoothed_density(GAUSS, p),
-                )
-            )
+            du, dv = copula_partials(GAUSS, p.u, p.v)
+            pts.append((smoothed_value(GAUSS, p), float(du), float(dv), smoothed_density(GAUSS, p)))
         inner, outer = pts
         assert abs(inner[0] - outer[0]) <= 5 * eps
         assert abs(inner[1] - outer[1]) <= 5 * eps
@@ -227,35 +219,43 @@ def test_value_partials_density_continuous_across_band_edge():
 
 
 def test_band_average_kernel_consistency():
+    # the value carries the band average B = r*g(z/r): Mbar = 1/2 + (w - B)/sqrt(2)
     m = product_radius([0.25, 0, -0.2], epsilon=0.3)
     w, z = 0.1, 0.05
     r = float(m.radius(w, z))
-    got = float(band_average(m, w, z, "z"))
-    from fhsmooth.kernel import kernel_jet
-
-    assert got == pytest.approx(r * kernel_jet(z / r).g, abs=1e-15)
+    value = float(copula_values(CopulaSpec("smoothed_upper", m), *wz_to_uv(w, z)))
+    got = w - SQRT2 * (value - 0.5)
+    assert got == pytest.approx(r * kernel_arrays(z / r)[0], abs=1e-15)
 
 
 def test_band_average_second_partials_variants_differ():
     m = product_radius([0.25, 0, -0.2], epsilon=0.3)
-    chain = band_average_second_partials(m, 0.1, 0.08, "z")[0]
-    single = band_average_second_partials(m, 0.1, 0.08, "z", cross="single")[0]
+    up = Orientation.UPPER_M
+    chain = band_average_second_partials(m, 0.1, 0.08, up)[0]
+    single = band_average_second_partials(m, 0.1, 0.08, up, single_cross=True)[0]
     assert abs(float(chain) - float(single)) > 1e-3
-    with pytest.raises(ValueError):
-        band_average_second_partials(m, 0.1, 0.08, "z", cross="both")
-
-
-def test_evaluate_smoothed_record():
-    rec = evaluate_smoothed(CONST, SquarePoint(0.5, 0.5))
-    assert rec.value == pytest.approx(0.4399789122561929, abs=1e-12)
-    assert rec.du == pytest.approx(0.5, abs=1e-14)
-    assert rec.band_average == pytest.approx(0.2 * G0, abs=1e-15)
-    assert rec.rho == 0.0
-    assert rec.density == pytest.approx(SQRT2 / (math.pi * 0.2), abs=1e-13)
 
 
 def test_density_rejects_fh_families():
     with pytest.raises(ValueError):
         smoothed_density(CopulaSpec("fh_upper"), SquarePoint(0.5, 0.5))
     with pytest.raises(ValueError):
-        smoothed_partials(CopulaSpec("fh_lower"), SquarePoint(0.5, 0.5))
+        copula_partials(CopulaSpec("fh_lower"), 0.5, 0.5)
+
+
+def test_undefined_radius_rule():
+    # the gaussian radius is undefined at the corners (0, 0) and (1, 1):
+    # the value falls back to the sharp bound there, partials and density
+    # raise, with plain floats in the message
+    u = np.array([0.0, 0.5, 1.0])
+    assert np.array_equal(copula_values(GAUSS, u, u)[[0, 2]], [0.0, 1.0])
+    for f in (copula_partials, copula_density):
+        with pytest.raises(RadiusEvalError, match=r"at u=0\.0, v=0\.0$"):
+            f(GAUSS, u, u)
+    # a radius that is undefined inside the diamond raises for the value too
+    class Holed:
+        def radius(self, w, z):
+            return np.where(np.abs(w) < 0.1, np.nan, 0.2)
+
+    with pytest.raises(RadiusEvalError, match=r"at u=0\.5, v=0\.5$"):
+        copula_values(CopulaSpec("smoothed_upper", Holed()), u, u)

@@ -5,11 +5,11 @@ import pytest
 
 from fhsmooth.geometry import (
     DIAMOND_RADIUS,
-    DiamondPoint,
     DomainError,
+    Orientation,
     SquarePoint,
-    classify,
-    diamond_to_square,
+    diamond_margin,
+    orientation_for_family,
     square_to_diamond,
     uv_to_wz,
     wz_to_uv,
@@ -30,16 +30,17 @@ def test_square_to_diamond_known_points():
 
 
 def test_diamond_to_square_known_points():
-    assert diamond_to_square(DiamondPoint(0.0, 0.0)) == SquarePoint(0.5, 0.5)
-    p = diamond_to_square(DiamondPoint(L, 0.0))
-    assert p.u == pytest.approx(1.0, abs=1e-15)
-    assert p.v == pytest.approx(1.0, abs=1e-15)
+    assert wz_to_uv(0.0, 0.0) == (0.5, 0.5)
+    u, v = wz_to_uv(L, 0.0)
+    assert u == pytest.approx(1.0, abs=1e-15)
+    assert v == pytest.approx(1.0, abs=1e-15)
 
 
 def test_round_trip_single_point():
-    q = diamond_to_square(square_to_diamond(SquarePoint(0.3, 0.9)))
-    assert q.u == pytest.approx(0.3, abs=1e-15)
-    assert q.v == pytest.approx(0.9, abs=1e-15)
+    p = square_to_diamond(SquarePoint(0.3, 0.9))
+    u, v = wz_to_uv(p.w, p.z)
+    assert u == pytest.approx(0.3, abs=1e-15)
+    assert v == pytest.approx(0.9, abs=1e-15)
 
 
 def test_round_trip_bulk():
@@ -86,34 +87,39 @@ def test_square_point_clamps_tiny_overshoot():
 
 
 def test_diamond_to_square_rejects_outside():
+    # the image of a point outside the diamond is not a SquarePoint
     with pytest.raises(DomainError):
-        diamond_to_square(DiamondPoint(0.6, 0.6))
+        SquarePoint(*wz_to_uv(0.6, 0.6))
     # tiny overshoot is accepted and clamped through SquarePoint
-    diamond_to_square(DiamondPoint(L + 5e-13, 0.0))
+    p = SquarePoint(*wz_to_uv(L + 5e-13, 0.0))
+    assert p.u == 1.0 and p.v == 1.0
 
 
-def test_classify_center_and_outside():
-    loc = classify(DiamondPoint(0.0, 0.0), tol=1e-12)
-    assert loc.tag == "interior"
-    assert loc.margin == pytest.approx(L, abs=1e-16)
-    loc = classify(DiamondPoint(0.6, 0.6), tol=1e-12)
-    assert loc.tag == "outside"
-    assert loc.margin == pytest.approx(L - 1.2, abs=1e-15)
+def test_diamond_margin_center_and_outside():
+    assert diamond_margin(0.0, 0.0) == pytest.approx(L, abs=1e-16)
+    assert diamond_margin(0.6, 0.6) == pytest.approx(L - 1.2, abs=1e-15)
+    assert diamond_margin(-0.6, 0.6) == diamond_margin(0.6, -0.6) == diamond_margin(0.6, 0.6)
 
 
-def test_classify_near_corner():
+def test_diamond_margin_near_corner():
     # 0.70710678 is the 8-digit rounding of 1/sqrt(2); its true margin is
-    # 1.1865e-9, so it is interior at tol=1e-9 and boundary at a tol above
-    # that margin.
-    p = DiamondPoint(0.70710678, 0.0)
-    margin = L - 0.70710678
-    loc = classify(p, tol=1e-9)
-    assert loc.margin == pytest.approx(margin, rel=1e-12)
-    assert loc.tag == "interior"
-    assert classify(p, tol=2e-9).tag == "boundary"
-    assert classify(DiamondPoint(L, 0.0), tol=1e-12).tag == "boundary"
+    # 1.1865e-9, positive but below 2e-9
+    margin = diamond_margin(0.70710678, 0.0)
+    assert margin == pytest.approx(L - 0.70710678, rel=1e-12)
+    assert 1e-9 < margin < 2e-9
+    assert diamond_margin(L, 0.0) == 0.0
 
 
-def test_classify_requires_positive_tol():
+def test_orientation_frame():
+    up, low = Orientation.UPPER_M, Orientation.LOWER_W
+    # the band coordinate t is z for M and w for W; n is the other one
+    assert up.swap("w", "z") == ("z", "w")
+    assert low.swap("w", "z") == ("w", "z")
+    for o in (up, low):
+        assert o.swap(*o.swap(0.1, 0.2)) == (0.1, 0.2)
+    assert orientation_for_family("smoothed_upper") is up
+    assert orientation_for_family("fh_upper") is up
+    assert orientation_for_family("smoothed_lower") is low
+    assert orientation_for_family("fh_lower") is low
     with pytest.raises(ValueError):
-        classify(DiamondPoint(0.0, 0.0), tol=0.0)
+        orientation_for_family("upper")

@@ -6,7 +6,6 @@ import pytest
 from fhsmooth.geometry import DomainError
 from fhsmooth.kernel import (
     kernel_arrays,
-    kernel_jet,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -20,27 +19,30 @@ G2_HALF = 1.1026577908435842
 H_HALF = 0.2756644477108960
 
 
+def kernel_at(rho):
+    """(g, g', g'', h) at one band coordinate, as floats."""
+    return tuple(float(x) for x in kernel_arrays(rho))
+
+
 def test_kernel_at_zero():
-    j = kernel_jet(0.0)
-    assert j.g == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-15)
-    assert j.g1 == 0.0
-    assert j.g2 == pytest.approx(4.0 / math.pi, abs=1e-15)
-    assert j.h == pytest.approx(j.g, abs=1e-15)
+    g, g1, g2, h = kernel_at(0.0)
+    assert g == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-15)
+    assert g1 == 0.0
+    assert g2 == pytest.approx(4.0 / math.pi, abs=1e-15)
+    assert h == pytest.approx(g, abs=1e-15)
 
 
 def test_kernel_outside_band_is_exact():
-    j = kernel_jet(2.0)
-    assert (j.g, j.g1, j.g2, j.h) == (2.0, 1.0, 0.0, 0.0)
-    j = kernel_jet(-3.5)
-    assert (j.g, j.g1, j.g2, j.h) == (3.5, -1.0, 0.0, 0.0)
+    assert kernel_at(2.0) == (2.0, 1.0, 0.0, 0.0)
+    assert kernel_at(-3.5) == (3.5, -1.0, 0.0, 0.0)
 
 
 def test_kernel_at_half():
-    j = kernel_jet(0.5)
-    assert j.g == pytest.approx(G_HALF, abs=1e-14)
-    assert j.g1 == pytest.approx(G1_HALF, abs=1e-14)
-    assert j.g2 == pytest.approx(G2_HALF, abs=1e-14)
-    assert j.h == pytest.approx(H_HALF, abs=1e-14)
+    g, g1, g2, h = kernel_at(0.5)
+    assert g == pytest.approx(G_HALF, abs=1e-14)
+    assert g1 == pytest.approx(G1_HALF, abs=1e-14)
+    assert g2 == pytest.approx(G2_HALF, abs=1e-14)
+    assert h == pytest.approx(H_HALF, abs=1e-14)
 
 
 def test_kernel_identities():
@@ -68,22 +70,22 @@ def test_kernel_parity():
 
 def test_branches_agree_at_seam():
     for rho in (1.0, -1.0):
-        j = kernel_jet(rho)
-        assert j.g == pytest.approx(1.0, abs=1e-12)
-        assert j.g1 == pytest.approx(math.copysign(1.0, rho), abs=1e-12)
-        assert j.g2 == pytest.approx(0.0, abs=1e-12)
+        g, g1, g2, _ = kernel_at(rho)
+        assert g == pytest.approx(1.0, abs=1e-12)
+        assert g1 == pytest.approx(math.copysign(1.0, rho), abs=1e-12)
+        assert g2 == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
 def test_seam_continuity(eps):
-    above = kernel_jet(1.0 + eps)
-    below = kernel_jet(1.0 - eps)
-    assert abs(above.g - below.g) <= 5 * eps
-    assert abs(above.g1 - below.g1) <= 5 * eps
+    g_a, g1_a, g2_a, _ = kernel_at(1.0 + eps)
+    g_b, g1_b, g2_b, _ = kernel_at(1.0 - eps)
+    assert abs(g_a - g_b) <= 5 * eps
+    assert abs(g1_a - g1_b) <= 5 * eps
     # g'' is continuous but only Holder-1/2 at the seam: the jump scales
     # like (4/pi)*sqrt(2*eps), so a linear-in-eps bound cannot hold.
-    assert abs(above.g2 - below.g2) <= 3 * math.sqrt(eps)
-    assert abs(above.g2 - below.g2) >= math.sqrt(eps)  # genuinely sqrt-scaled
+    assert abs(g2_a - g2_b) <= 3 * math.sqrt(eps)
+    assert abs(g2_a - g2_b) >= math.sqrt(eps)  # genuinely sqrt-scaled
 
 
 def test_third_derivative_blows_up_at_seam():
@@ -92,12 +94,8 @@ def test_third_derivative_blows_up_at_seam():
     for k in (3, 4, 5):
         s = 10.0**-k
         x = 1.0 - s
-        est = (
-            kernel_jet(x + 2 * s).g
-            - 2 * kernel_jet(x + s).g
-            + 2 * kernel_jet(x - s).g
-            - kernel_jet(x - 2 * s).g
-        ) / (2 * s**3)
+        g = lambda rho: kernel_at(rho)[0]
+        est = (g(x + 2 * s) - 2 * g(x + s) + 2 * g(x - s) - g(x - 2 * s)) / (2 * s**3)
         assert abs(est) > abs(prev)
         prev = est
         if k == 4:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fhsmooth.copulas import CopulaSpec, smoothed_value
-from fhsmooth.geometry import SQRT2, DiamondPoint, SquarePoint, wz_to_uv
-from fhsmooth.kernel import kernel_jet
+from band_helpers import band_average, band_average_second_partials
+from fhsmooth.geometry import SQRT2, DiamondPoint, Orientation, SquarePoint, wz_to_uv
+from fhsmooth.kernel import kernel_arrays
 from fhsmooth.oracle import OracleRequest, disc_average, fd_second_partials
 from fhsmooth.radius import constant_radius, gaussian_band_radius, product_radius
 
@@ -44,7 +45,7 @@ def test_disc_average_matches_kernel_closed_form():
         z = rho * radius
         w = rng.uniform(-0.3, 0.3)
         got = disc_average(OracleRequest("abs_z", DiamondPoint(w, z), radius, 1e-10))
-        want = radius * kernel_jet(rho).g
+        want = radius * kernel_arrays(rho)[0]
         assert abs(got - want) <= 1e-8 * max(1.0, radius)
 
 
@@ -92,13 +93,12 @@ def test_defining_integral_matches_smoothed_value(model):
 def test_fd_second_partials_adjudicate_band_curvature():
     # finite differences of the closed-form band average for the gaussian
     # model agree with the chain-rule second partials
-    from fhsmooth.copulas import band_average, band_average_second_partials
-
     m = gaussian_band_radius(1.0)
+    up = Orientation.UPPER_M
     p = DiamondPoint(0.05, 0.02)
-    f = lambda w, z: float(band_average(m, w, z, "z"))
+    f = lambda w, z: float(band_average(m, w, z, up))
     fd_ww, fd_zz = fd_second_partials(f, p, 1e-4)
-    b_tt, b_nn = band_average_second_partials(m, p.w, p.z, "z")
+    b_tt, b_nn = band_average_second_partials(m, p.w, p.z, up)
     assert fd_zz == pytest.approx(float(b_tt), rel=1e-5)
     assert fd_ww == pytest.approx(float(b_nn), rel=1e-5)
 

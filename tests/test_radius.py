@@ -5,18 +5,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint
+from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DomainError
 from fhsmooth.kernel import std_normal_quantile
 from fhsmooth.radius import (
     ModelSpecError,
-    RadiusEvalError,
+    RadiusJet,
     UnboundedBandError,
     constant_radius,
     gaussian_band_radius,
     model_from_json,
     model_to_json,
     product_radius,
-    radius_jet,
     support_band,
 )
 
@@ -31,14 +30,18 @@ def erf_pdf(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def jet_at(model, w, z):
+    return RadiusJet(*map(float, model.jet(w, z)))
+
+
 def test_constant_jet():
-    jet = radius_jet(constant_radius(0.2), DiamondPoint(0.1, 0.05))
+    jet = jet_at(constant_radius(0.2), 0.1, 0.05)
     assert (jet.r, jet.r_w, jet.r_z, jet.r_ww, jet.r_zz) == (0.2, 0, 0, 0, 0)
 
 
 def test_product_jet_by_hand():
     m = product_radius([0.25, 0, -0.2], epsilon=0.3)
-    jet = radius_jet(m, DiamondPoint(0.0, 0.0))
+    jet = jet_at(m, 0.0, 0.0)
     assert jet.r == pytest.approx(0.25, abs=1e-15)
     assert jet.r_w == pytest.approx(0.0, abs=1e-15)
     assert jet.r_z == pytest.approx(0.25 * 0.3 * SQRT2, abs=1e-15)
@@ -48,7 +51,7 @@ def test_product_jet_by_hand():
 
 def test_gaussian_jet_at_center():
     m = gaussian_band_radius(1.0)
-    jet = radius_jet(m, DiamondPoint(0.0, 0.0))
+    jet = jet_at(m, 0.0, 0.0)
     # by symmetry the band edges map to -+1/2 on the normal scale
     r_exact = SQRT2 * (erf_cdf(0.5) - 0.5)
     assert jet.r == pytest.approx(r_exact, abs=1e-13)
@@ -121,7 +124,7 @@ def test_partials_match_finite_differences(model):
         count += 1
         s = 1e-5
         f = lambda ww, zz: float(model.radius(ww, zz))
-        jet = radius_jet(model, DiamondPoint(w, z))
+        jet = jet_at(model, w, z)
         fd_w = (f(w + s, z) - f(w - s, z)) / (2 * s)
         fd_z = (f(w, z + s) - f(w, z - s)) / (2 * s)
         assert abs(fd_w - jet.r_w) <= 1e-6 * max(abs(jet.r_w), 1e-2)
@@ -136,10 +139,13 @@ def test_partials_match_finite_differences(model):
 
 
 def test_radius_jet_requires_interior():
-    with pytest.raises(RadiusEvalError):
-        radius_jet(constant_radius(0.2), DiamondPoint(L, 0.0))
-    with pytest.raises(RadiusEvalError):
-        radius_jet(gaussian_band_radius(1.0), DiamondPoint(L + 0.01, 0.0))
+    # at and beyond the corner the gaussian jet is NaN, like the radius
+    m = gaussian_band_radius(1.0)
+    w = np.array([0.0, L, L + 0.01])
+    r, r_w, r_z, r_ww, r_zz = m.jet(w, np.zeros_like(w))
+    assert np.isfinite([r[0], r_w[0], r_ww[0]]).all()
+    assert np.isnan([r[1:], r_w[1:], r_ww[1:]]).all()
+    assert np.array_equal(r, m.radius(w, np.zeros_like(w)), equal_nan=True)
 
 
 def test_gaussian_radius_nan_outside():
@@ -191,6 +197,18 @@ def test_support_band_gaussian():
     assert band.kappa == 1.0
 
 
+@pytest.mark.parametrize(
+    "model",
+    [constant_radius(0.2), product_radius([0.25, 0, -0.2], epsilon=0.3), gaussian_band_radius(1.0)],
+    ids=["constant", "product", "gaussian"],
+)
+def test_support_band_rejects_w_off_the_diamond(model):
+    for w in (5.0, -0.8, L + 1e-9, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            support_band(model, w)
+    assert support_band(model, -0.3).w == -0.3
+
+
 def test_support_band_unbounded():
     # q(z) = 1 + sqrt(2)*0.9*z stays positive on the diamond but makes the
     # upper band edge diverge once p*q1 >= 1
@@ -220,6 +238,8 @@ def test_json_errors():
         model_from_json({"kind": "constant"})
     with pytest.raises(ModelSpecError):
         model_from_json({"kind": "product", "p": [0.25]})
+    with pytest.raises(ModelSpecError, match="exactly one of epsilon or q"):
+        model_from_json({"kind": "product", "p": [0.25, 0, -0.2], "epsilon": 0.3, "q": [5, 1]})
 
 
 # High-precision pins for the gaussian band.  The double w is taken as

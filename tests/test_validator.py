@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fhsmooth.copulas import (
-    CopulaSpec,
-    band_average,
-    band_average_second_partials,
-    copula_density,
-)
+from band_helpers import band_average, band_average_second_partials
+from fhsmooth.copulas import CopulaSpec, copula_density
 from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint
 from fhsmooth.oracle import fd_second_partials
 from fhsmooth.radius import (
@@ -16,7 +12,6 @@ from fhsmooth.radius import (
     constant_radius,
     gaussian_band_radius,
     product_radius,
-    radius_jet,
 )
 from fhsmooth.validator import (
     Orientation,
@@ -39,7 +34,7 @@ def test_certificate_constant():
 
 
 def test_certificate_gaussian_center():
-    jet = radius_jet(gaussian_band_radius(1.0), DiamondPoint(0.0, 0.0))
+    jet = RadiusJet(*map(float, gaussian_band_radius(1.0).jet(0.0, 0.0)))
     cert = certify_pointwise(jet, UP)
     d_term = jet.r * (jet.r_zz - jet.r_ww) / 3.0
     assert d_term == pytest.approx(0.0906378, abs=1e-6)
@@ -172,10 +167,10 @@ def test_chain_rule_coefficient_adjudication():
         if abs(z / r) > 0.85 or L - abs(w) - abs(z) < 0.05:
             continue
         count += 1
-        f = lambda ww, zz: float(band_average(m, ww, zz, "z"))
+        f = lambda ww, zz: float(band_average(m, ww, zz, UP))
         _, fd_zz = fd_second_partials(f, DiamondPoint(w, z), 1e-4)
-        chain = float(band_average_second_partials(m, w, z, "z")[0])
-        single = float(band_average_second_partials(m, w, z, "z", cross="single")[0])
+        chain = float(band_average_second_partials(m, w, z, UP)[0])
+        single = float(band_average_second_partials(m, w, z, UP, single_cross=True)[0])
         worst_chain = max(worst_chain, abs(chain - fd_zz) / abs(fd_zz))
         worst_single = max(worst_single, abs(single - fd_zz) / abs(fd_zz))
     assert worst_chain <= 1e-6
