@@ -25,9 +25,8 @@ from .geometry import (
     Orientation,
     SquarePoint,
     orientation_for_family,
-    square_to_diamond,
 )
-from .kernel import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .kernel import std_normal_pdf, std_normal_quantile
 from .oracle import OracleError, OracleRequest, disc_average, fd_second_partials
 from .radius import (
     ConstantRadius,
@@ -35,9 +34,7 @@ from .radius import (
     ModelSpecError,
     ProductRadius,
     RadiusEvalError,
-    RadiusJet,
     SupportBand,
-    UnboundedBandError,
     constant_radius,
     gaussian_band_radius,
     model_from_json,
@@ -55,11 +52,8 @@ from .sampler import (
 )
 from .validator import (
     ContainmentResult,
-    QuadraticCertificate,
     ValidationReport,
-    certify_pointwise,
     containment_check,
-    sharper_exact_condition,
     validate_model,
 )
 

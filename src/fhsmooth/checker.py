@@ -15,19 +15,21 @@ gaussian band).  The rule takes Gauss-Legendre nodes in the singular
 coordinate s and, across the band between its edges t-(s) and t+(s),
 substitutes t = mid + half*sin(theta) with Gauss-Legendre nodes in theta,
 which absorbs the sqrt(1 - rho^2) behaviour of g'' at the band edges.  The
-edges are clipped to the diamond, so a band that spills over the boundary
-(e.g. the constant model) is integrated over the square only.
+edges come from ``radius.band_edges``, the solver behind ``support_band``
+too; they are clipped to the diamond, so a band that spills over the
+boundary (e.g. the constant model) is integrated over the square only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .copulas import CopulaSpec, copula_density, copula_values
 from .geometry import DIAMOND_RADIUS, wz_to_uv
+from .radius import band_edges
 
 _BOUNDARY_TOL = 1e-8
 _VOLUME_TOL = -1e-10
@@ -35,8 +37,6 @@ _DENSITY_TOL = -1e-10
 _INTEGRAL_TOL = 1e-3
 _FRECHET_SLACK = 1e-12
 _MASS_NODES = 128  # per axis; the accuracy depends on the band, not the lattice
-_EDGE_TOL = 1e-14
-_EDGE_ITERS = 60  # bisection alone shrinks the bracket below _EDGE_TOL in 46
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,7 @@ class CopulaCheckReport:
     verdict: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "boundary_max_err": self.boundary_max_err,
-            "min_rectangle_volume": self.min_rectangle_volume,
-            "min_density": self.min_density,
-            "density_integral": self.density_integral,
-            "frechet_ok": self.frechet_ok,
-            "grid_n": self.grid_n,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def rectangle_volume(spec: CopulaSpec, u1, u2, v1, v2) -> float:
@@ -71,40 +63,11 @@ def rectangle_volume(spec: CopulaSpec, u1, u2, v1, v2) -> float:
     return float(c[0] - c[1] - c[2] + c[3])
 
 
-def _band_edges(spec: CopulaSpec, s):
-    """Band edges (t-, t+) on each slice s, clipped to the diamond.
-
-    Each edge is the root of tau - r(s, +-tau) on [0, 1/sqrt(2) - |s|],
-    found by Newton's method safeguarded with bisection.  Where r does not
-    depend on the band coordinate the first Newton step lands on r exactly;
-    where no root lies inside the diamond the bracket closes on the boundary.
-    """
-    o = spec.orientation
-    sign = np.repeat([1.0, -1.0], s.size)
-    ss = np.tile(s, 2)
-    lo = np.zeros_like(ss)
-    hi = DIAMOND_RADIUS - np.abs(ss)
-    tau = lo.copy()
-    for _ in range(_EDGE_ITERS):
-        r, r_w, r_z, _, _ = spec.model.jet(*o.swap(sign * tau, ss))
-        r_t = o.swap(r_w, r_z)[0]
-        f = tau - r
-        if np.all((np.abs(f) <= _EDGE_TOL) | (hi - lo <= _EDGE_TOL)):
-            break
-        below = f < 0
-        lo = np.where(below, tau, lo)
-        hi = np.where(below, hi, tau)
-        cand = tau - f / (1.0 - sign * r_t)
-        inside = (cand > lo) & (cand < hi)
-        tau = np.where(inside, cand, 0.5 * (lo + hi))
-    return -tau[s.size:], tau[: s.size]
-
-
 def _density_mass(spec: CopulaSpec) -> float:
     """Integral of copula_density over the unit square (smoothed families)."""
     x, wts = np.polynomial.legendre.leggauss(_MASS_NODES)
     s = DIAMOND_RADIUS * x
-    t_lo, t_hi = _band_edges(spec, s)
+    t_lo, t_hi = band_edges(spec.model, spec.orientation, s)
     mid = 0.5 * (t_lo + t_hi)
     half = 0.5 * (t_hi - t_lo)
     theta = 0.5 * np.pi * x

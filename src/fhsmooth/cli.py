@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .checker import check_copula
 from .copulas import CopulaSpec, copula_density, copula_values, smoothed_density, smoothed_value
 from .geometry import DomainError, SquarePoint
-from .radius import ModelSpecError, RadiusEvalError, UnboundedBandError, model_from_json, support_band
+from .radius import ModelSpecError, RadiusEvalError, model_from_json, support_band
 from .sampler import InvalidModelError, sample_batch, to_gaussian
 from .serialize import csv_text, format_float, json_text, write_output
 from .validator import validate_model
@@ -164,13 +165,7 @@ def _dispatch(parser, args) -> int:
     if args.command == "band":
         if family != "smoothed_upper":
             parser.error("band applies to mbar only")
-        band = support_band(model, args.w)
-        write_output(
-            json_text(
-                {"w": band.w, "lower": band.lower, "upper": band.upper, "kappa": band.kappa}
-            ),
-            args.out,
-        )
+        write_output(json_text(asdict(support_band(model, args.w))), args.out)
         return 0
 
     parser.error(f"unknown command {args.command!r}")
@@ -186,7 +181,7 @@ def main(argv=None) -> int:
     except InvalidModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, ModelSpecError, UnboundedBandError, RadiusEvalError, ValueError) as exc:
+    except (DomainError, ModelSpecError, RadiusEvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,8 @@ both bounds.  All three array functions start from one prelude, which also
 holds the rule for points where r is not a positive number: values fall
 back to the sharp bound on the diamond's boundary (its continuous
 extension there) and raise RadiusEvalError inside; partials and density
-raise wherever it happens.
+raise wherever it happens, and also at the two corners of the singular
+axis, where an admissible r is 0 whatever a model's rounding gives.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ class CopulaSpec:
 def _prelude(spec: CopulaSpec, u, v, jet: bool):
     """Frame, radius (or jet in (t, n) order) and rho = t/r on arrays of (u, v).
 
-    Where r is not a positive number, rho uses r = 1 and ``good`` is False.
-    That raises RadiusEvalError for a jet, and for a radius away from the
-    diamond's boundary, where the caller has no value to fall back to.
+    Where r is not a positive number, or for a jet at a corner of the
+    singular axis, rho uses r = 1 and ``good`` is False.  That raises
+    RadiusEvalError for a jet, and for a radius away from the diamond's
+    boundary, where the caller has no value to fall back to.
     """
     _require_smoothed(spec)
     u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -89,7 +91,12 @@ def _prelude(spec: CopulaSpec, u, v, jet: bool):
         derivs = (*o.swap(r_w, r_z), *o.swap(r_ww, r_zz))
     else:
         r, derivs = spec.model.radius(w, z), ()
+    t = o.swap(w, z)[0]
     good = np.isfinite(r) & (r > 0)
+    if jet and not np.all(t):
+        # an admissible r is 0 at the corners of the singular axis (t = 0 on the
+        # boundary); a rounding residue there (p(1/sqrt(2)) ~ 1e-16) is no radius
+        good &= (t != 0) | (diamond_margin(w, z) > _BOUNDARY_TOL)
     if not good.all():
         stuck = ~good if jet else ~good & (diamond_margin(w, z) > _BOUNDARY_TOL)
         if stuck.any():
@@ -98,7 +105,7 @@ def _prelude(spec: CopulaSpec, u, v, jet: bool):
                 f"radius undefined at u={float(u[idx])!r}, v={float(v[idx])!r}"
             )
         r = np.where(good, r, 1.0)
-    rho = o.swap(w, z)[0] / r
+    rho = t / r
     return u, v, w, good, r, rho, derivs
 
 

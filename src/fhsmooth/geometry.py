@@ -57,8 +57,7 @@ class DiamondPoint:
     """A point in rotated (w, z) coordinates.
 
     Not validated at construction: oracle integration centers may lie
-    anywhere in the plane.  Points produced by ``square_to_diamond``
-    satisfy |w| + |z| <= 1/sqrt(2) up to roundoff.
+    anywhere in the plane.
     """
 
     w: float
@@ -107,8 +106,3 @@ def wz_to_uv(w, z):
 def diamond_margin(w, z):
     """Signed distance 1/sqrt(2) - |w| - |z| (positive strictly inside)."""
     return DIAMOND_RADIUS - np.abs(w) - np.abs(z)
-
-
-def square_to_diamond(p: SquarePoint) -> DiamondPoint:
-    w, z = uv_to_wz(p.u, p.v)
-    return DiamondPoint(float(w), float(z))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .geometry import DomainError
 
@@ -55,12 +55,6 @@ def kernel_arrays(rho):
     g2 = np.where(inside, 4.0 * s / np.pi, 0.0)
     h = np.where(inside, 4.0 * s * s * s / (3.0 * np.pi), 0.0)
     return g, g1, g2, h
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF; scalar in, scalar out (arrays pass through)."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def std_normal_pdf(x):

@@ -41,13 +41,15 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import ndtr, ndtri
 
-from .geometry import DIAMOND_RADIUS, SQRT2, DomainError
+from .geometry import DIAMOND_RADIUS, SQRT2, DomainError, Orientation
 from .kernel import std_normal_pdf
 
 _AXIS_INSET = 1e-9  # positivity is required on the open diamond only
 _SWEEP_POINTS = 1001
 _EDGE_ITERS = 60  # cap; over the diamond, 4 steps suffice for every d in [0.01, 40]
 _EDGE_TOL = 1e-9  # a Newton step this small leaves an error far below one ulp
+_BAND_TOL = 1e-14
+_BAND_ITERS = 60  # bisection alone shrinks the bracket below _BAND_TOL in 46
 
 
 class ModelSpecError(ValueError):
@@ -56,21 +58,6 @@ class ModelSpecError(ValueError):
 
 class RadiusEvalError(RuntimeError):
     """Radius evaluation failed at a specific point."""
-
-
-class UnboundedBandError(ValueError):
-    """The skew is too large for this profile: the band upper edge diverges."""
-
-
-@dataclass(frozen=True)
-class RadiusJet:
-    """Radius value and partials (r, r_w, r_z, r_ww, r_zz) at one point."""
-
-    r: float
-    r_w: float
-    r_z: float
-    r_ww: float
-    r_zz: float
 
 
 @dataclass(frozen=True)
@@ -235,41 +222,48 @@ def gaussian_band_radius(d: float) -> GaussianBandRadius:
     return GaussianBandRadius(float(d))
 
 
-def support_band(model, w: float) -> SupportBand:
-    """Transverse support band at position w along the singular axis.
+def band_edges(model, o: Orientation, s):
+    """Band edges (t-, t+) on each slice s of a 1-D array, clipped to the diamond.
 
-    For the affine-skew product model the fixed point of |z| = p(w)*q(z)
-    is solved in closed form; constant and gaussian_band radii do not
-    depend on z, so the band is simply +-r(w).  w must lie on the diamond.
+    Each edge is the root of tau - r(s, +-tau) on [0, 1/sqrt(2) - |s|] in the
+    frame o, found by Newton's method safeguarded with bisection.  Where r
+    does not depend on the band coordinate the first Newton step lands on r
+    exactly, and where r is affine in it, on the closed-form edge; where no
+    root lies inside the diamond the bracket closes on the boundary.
+    """
+    sign = np.repeat([1.0, -1.0], s.size)
+    ss = np.tile(s, 2)
+    lo = np.zeros_like(ss)
+    hi = DIAMOND_RADIUS - np.abs(ss)
+    tau = lo.copy()
+    for _ in range(_BAND_ITERS):
+        r, r_w, r_z, _, _ = model.jet(*o.swap(sign * tau, ss))
+        r_t = o.swap(r_w, r_z)[0]
+        f = tau - r
+        if np.all((np.abs(f) <= _BAND_TOL) | (hi - lo <= _BAND_TOL)):
+            break
+        below = f < 0
+        lo = np.where(below, tau, lo)
+        hi = np.where(below, hi, tau)
+        cand = tau - f / (1.0 - sign * r_t)
+        inside = (cand > lo) & (cand < hi)
+        tau = np.where(inside, cand, 0.5 * (lo + hi))
+    return -tau[s.size:], tau[: s.size]
+
+
+def support_band(model, w: float) -> SupportBand:
+    """Transverse support band of the upper family at position w on the singular axis.
+
+    The edges come from ``band_edges``, so a band that spills over the
+    diamond is clipped to it, and at the corners w = +-1/sqrt(2) the band
+    has zero width.  w must lie on the diamond.
     """
     w = float(w)
     if not abs(w) <= DIAMOND_RADIUS:
         raise DomainError(f"w={w!r} outside the diamond, |w| <= 1/sqrt(2)")
-    if model.kind == "constant":
-        return SupportBand(w, -model.r0, model.r0, 1.0)
-    if model.kind == "gaussian_band":
-        r = float(model.radius(w, 0.0))
-        if math.isnan(r):
-            raise RadiusEvalError(f"gaussian_band radius undefined at w={w!r}")
-        return SupportBand(w, -r, r, 1.0)
-    if model.kind == "product":
-        if len(model.q_coeffs) > 2:
-            raise ModelSpecError("support_band requires an affine q(z)")
-        q0 = model.q_coeffs[0]
-        q1 = model.q_coeffs[1] if len(model.q_coeffs) == 2 else 0.0
-        p_val = float(npoly.polyval(w, model.p_coeffs))
-        den_up = 1.0 - p_val * q1
-        den_lo = 1.0 + p_val * q1
-        if den_up <= 0.0 or den_lo <= 0.0:
-            raise UnboundedBandError(
-                f"band unbounded at w={w!r}: skew too large for this profile "
-                f"(1 -+ p*q1 = {den_up!r}, {den_lo!r})"
-            )
-        upper = p_val * q0 / den_up
-        lower = -p_val * q0 / den_lo
-        kappa = upper / abs(lower) if lower < 0 else math.inf
-        return SupportBand(w, lower, upper, kappa)
-    raise ModelSpecError(f"unsupported model kind {model.kind!r}")
+    lower, upper = (float(e[0]) for e in band_edges(model, Orientation.UPPER_M, np.array([w])))
+    kappa = upper / abs(lower) if lower < 0 else math.inf
+    return SupportBand(w, lower, upper, kappa)
 
 
 def model_from_json(source) -> object:

@@ -25,6 +25,7 @@ _MAX_STEPS = 60  # cap on evaluations of f per pair
 _EPS = np.finfo(float).eps
 _VALIDATE_GRID = 64
 _QUANTILE_CLAMP = 1e-15
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -59,7 +60,8 @@ def counter_uniforms(seed: int, counters) -> np.ndarray:
     with np.errstate(over="ignore"):
         key = _splitmix64(seed64 ^ _KEY_TWEAK)
         bits = _splitmix64(key + (counters + np.uint64(1)) * _GOLDEN)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # the top draw, (2^53 - 1) + 0.5, rounds to 2^53: keep it below 1
+    return np.minimum(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, _BELOW_ONE)
 
 
 def _chandrupatla_step(t, a, b, c, fa, fb, fc, lim):

@@ -24,31 +24,18 @@ two, and the finite-difference oracle sides with the chain rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import DIAMOND_RADIUS, DiamondPoint, Orientation, diamond_margin, uv_to_wz
 from .geometry import orientation_for_family  # noqa: F401  (re-exported)
-from .radius import RadiusJet
 
 _QUAD_TOL = -1e-12  # floating noise floor for O(1) quantities
 _CONTAINMENT_TOL = -1e-9
 _BOUNDARY_INSET = 1e-9  # radius models are only guaranteed on the open diamond
 _INTERIOR_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class QuadraticCertificate:
-    """Coefficients of p(rho) and its exact minimum over [-1, 1]."""
-
-    a: float
-    b: float
-    c: float
-    min_value_on_unit_interval: float
-    passed: bool
-    paper_condition_pass: bool
 
 
 class ContainmentResult(NamedTuple):
@@ -73,16 +60,7 @@ class ValidationReport:
         return self.positivity_pass and self.quadratic_pass and self.containment_pass
 
     def to_json_dict(self) -> dict:
-        return {
-            "positivity_pass": self.positivity_pass,
-            "quadratic_pass": self.quadratic_pass,
-            "paper_sufficient_pass": self.paper_sufficient_pass,
-            "containment_pass": self.containment_pass,
-            "worst_point": {"w": self.worst_point.w, "z": self.worst_point.z},
-            "worst_margin": self.worst_margin,
-            "grid_n": self.grid_n,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 def _quad_coeffs(o: Orientation, r, r_w, r_z, r_ww, r_zz):
@@ -113,37 +91,6 @@ def _paper_conditions(o: Orientation, r_w, r_z, r_ww, r_zz):
     cond1 = r_n * r_n <= (0.5 - np.abs(r_t)) ** 2 + 0.75
     cond2 = r_nn <= r_tt
     return cond1 & cond2
-
-
-def certify_pointwise(jet: RadiusJet, o: Orientation) -> QuadraticCertificate:
-    """Pointwise legality certificate for one radius jet."""
-    if not jet.r > 0:
-        raise ValueError(f"certificate requires r > 0, got {jet.r!r}")
-    a, b, c = _quad_coeffs(o, jet.r, jet.r_w, jet.r_z, jet.r_ww, jet.r_zz)
-    m = float(_quad_min(a, b, c))
-    paper_ok = bool(_paper_conditions(o, jet.r_w, jet.r_z, jet.r_ww, jet.r_zz))
-    return QuadraticCertificate(
-        a=float(a),
-        b=float(b),
-        c=float(c),
-        min_value_on_unit_interval=m,
-        passed=m >= _QUAD_TOL,
-        paper_condition_pass=paper_ok,
-    )
-
-
-def sharper_exact_condition(jet: RadiusJet, o: Orientation) -> Optional[bool]:
-    """The published sharper vertex condition, where its denominator is positive.
-
-    Returns None when a <= 0 (condition undefined); otherwise the verdict of
-    c >= r_t^2/(4a), which is the vertex branch of the quadratic evaluated
-    with the single-cross-term coefficient b = -r_t.
-    """
-    a, b, c = _quad_coeffs(o, jet.r, jet.r_w, jet.r_z, jet.r_ww, jet.r_zz)
-    if not a > 0:
-        return None
-    b_single = 0.5 * b  # -r_t
-    return bool(c - b_single * b_single / (4.0 * a) >= _QUAD_TOL)
 
 
 def containment_check(model, o: Orientation, n: int) -> ContainmentResult:

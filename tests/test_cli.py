@@ -171,6 +171,10 @@ def test_usage_errors(capsys):
     for radius, w in [(CONST_JSON, "5"), (CONST_JSON, "nan"), (SKEW_JSON, "-0.8"),
                       (SKEW_JSON, "nan"), (GAUSS_JSON, "5"), (GAUSS_JSON, "nan")]:
         assert run(capsys, "band", "--copula", "mbar", "--radius", radius, "--w", w)[0] == 2
+    upper = '{"kind":"product","p":[0.25,0,-0.5],"epsilon":0.2}'  # r = 0 at (0, 0) and (1, 1)
+    for u in ("0", "1"):
+        assert run(capsys, "density", "--copula", "mbar", "--radius", upper,
+                   "--u", u, "--v", u)[0] == 2
 
 
 def test_sample_rejects_invalid_model(capsys):

@@ -21,6 +21,7 @@ CONST = '{"kind":"constant","r0":0.2}'
 UPPER = '{"kind":"product","p":[0.25,0,-0.5],"epsilon":0.2}'
 LOWER = '{"kind":"product","p":[1.0],"q":[0.25,0,-0.5]}'
 SKEW = '{"kind":"product","p":[0.25,0,-0.2],"epsilon":0.3}'
+WIDE = '{"kind":"product","p":[0.9],"epsilon":0.9}'
 
 # name -> (argv, exit code, sha256 of stdout)
 GOLDEN = {
@@ -171,6 +172,23 @@ GOLDEN = {
     "band-wbar": (
         ["band", "--copula", "wbar", "--radius", GAUSS],
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    # clipped to the diamond: zero width at the corners, closed on the boundary where it spills
+    "band-gauss-corner": (
+        ["band", "--copula", "mbar", "--radius", GAUSS, "--w", "0.7071067811865476"],
+        0, "881d5352524cc7fa06665e7059f4589c85d28922080abc5f67b50be2d4085d41",
+    ),
+    "band-upper-corner": (
+        ["band", "--copula", "mbar", "--radius", UPPER, "--w", "-0.7071067811865476"],
+        0, "ff99076d894ea92794d207beb6607a7e7793f464b98b0055e430628681f4494f",
+    ),
+    "band-const-spill": (
+        ["band", "--copula", "mbar", "--radius", CONST, "--w", "0.6"],
+        0, "7b23d6a7e1d33a774969e77f345ec8113d68244b3dd89238c211edc060d558b0",
+    ),
+    "band-skew-too-large": (
+        ["band", "--copula", "mbar", "--radius", WIDE, "--w", "0.0"],
+        0, "87813661e4326016f9696ff84c6e9827e97751c3d49747cb419862f581506381",
     ),
 }
 

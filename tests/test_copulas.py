@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,3 +260,20 @@ def test_undefined_radius_rule():
 
     with pytest.raises(RadiusEvalError, match=r"at u=0\.5, v=0\.5$"):
         copula_values(CopulaSpec("smoothed_upper", Holed()), u, u)
+
+
+@pytest.mark.parametrize(
+    "spec, corners",
+    [(VALID_UPPER[-1], [(0.0, 0.0), (1.0, 1.0)]), (VALID_LOWER[0], [(1.0, 0.0), (0.0, 1.0)])],
+    ids=["upper", "lower"],
+)
+def test_product_corners_refuse_jets(spec, corners):
+    # r vanishes at the corners of the singular axis, but the polynomial rounds
+    # to ~1e-16 > 0 there: partials and density raise, as for the gaussian
+    for u, v in corners:
+        assert 0.0 < spec.model.radius(*uv_to_wz(u, v)) < 1e-15
+        for f in (copula_partials, copula_density):
+            with pytest.raises(RadiusEvalError, match=re.escape(f"at u={u!r}, v={v!r}") + "$"):
+                f(spec, u, v)
+        assert abs(copula_values(spec, u, v) - spec.orientation.fh_values(u, v)) <= 1e-16
+        assert np.isfinite(copula_density(spec, u + (1e-9 if u == 0 else -1e-9), v))  # just inside

@@ -10,7 +10,6 @@ from fhsmooth.geometry import (
     SquarePoint,
     diamond_margin,
     orientation_for_family,
-    square_to_diamond,
     uv_to_wz,
     wz_to_uv,
 )
@@ -19,14 +18,13 @@ L = DIAMOND_RADIUS
 
 
 def test_square_to_diamond_known_points():
-    p = square_to_diamond(SquarePoint(0.5, 0.5))
-    assert p.w == 0.0 and p.z == 0.0
-    p = square_to_diamond(SquarePoint(1.0, 1.0))
-    assert p.w == pytest.approx(L, abs=1e-15)
-    assert p.z == 0.0
-    p = square_to_diamond(SquarePoint(0.75, 0.25))
-    assert p.w == pytest.approx(0.0, abs=1e-16)
-    assert p.z == pytest.approx(-0.5 / math.sqrt(2), abs=1e-15)
+    assert uv_to_wz(0.5, 0.5) == (0.0, 0.0)
+    w, z = uv_to_wz(1.0, 1.0)
+    assert w == pytest.approx(L, abs=1e-15)
+    assert z == 0.0
+    w, z = uv_to_wz(0.75, 0.25)
+    assert w == pytest.approx(0.0, abs=1e-16)
+    assert z == pytest.approx(-0.5 / math.sqrt(2), abs=1e-15)
 
 
 def test_diamond_to_square_known_points():
@@ -37,8 +35,7 @@ def test_diamond_to_square_known_points():
 
 
 def test_round_trip_single_point():
-    p = square_to_diamond(SquarePoint(0.3, 0.9))
-    u, v = wz_to_uv(p.w, p.z)
+    u, v = wz_to_uv(*uv_to_wz(0.3, 0.9))
     assert u == pytest.approx(0.3, abs=1e-15)
     assert v == pytest.approx(0.9, abs=1e-15)
 
@@ -73,8 +70,8 @@ def test_corner_images_exact():
         (1.0, 0.0): (0.0, -L),
     }
     for (u, v), (w, z) in corners.items():
-        p = square_to_diamond(SquarePoint(u, v))
-        assert abs(p.w - w) <= 1e-15 and abs(p.z - z) <= 1e-15
+        pw, pz = uv_to_wz(u, v)
+        assert abs(pw - w) <= 1e-15 and abs(pz - z) <= 1e-15
 
 
 def test_square_point_clamps_tiny_overshoot():

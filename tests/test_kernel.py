@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr as std_normal_cdf  # the library's Phi (radius.py)
 
 from fhsmooth.geometry import DomainError
 from fhsmooth.kernel import (
     kernel_arrays,
-    std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )

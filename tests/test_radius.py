@@ -1,16 +1,16 @@
 import json
 import math
+from collections import namedtuple
 
 import mpmath
 import numpy as np
 import pytest
 
-from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DomainError
+from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DomainError, Orientation
 from fhsmooth.kernel import std_normal_quantile
 from fhsmooth.radius import (
     ModelSpecError,
-    RadiusJet,
-    UnboundedBandError,
+    SupportBand,
     constant_radius,
     gaussian_band_radius,
     model_from_json,
@@ -18,6 +18,7 @@ from fhsmooth.radius import (
     product_radius,
     support_band,
 )
+from fhsmooth.validator import validate_model
 
 L = DIAMOND_RADIUS
 
@@ -30,8 +31,11 @@ def erf_pdf(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+Jet = namedtuple("Jet", "r r_w r_z r_ww r_zz")
+
+
 def jet_at(model, w, z):
-    return RadiusJet(*map(float, model.jet(w, z)))
+    return Jet(*map(float, model.jet(w, z)))
 
 
 def test_constant_jet():
@@ -209,12 +213,45 @@ def test_support_band_rejects_w_off_the_diamond(model):
     assert support_band(model, -0.3).w == -0.3
 
 
-def test_support_band_unbounded():
-    # q(z) = 1 + sqrt(2)*0.9*z stays positive on the diamond but makes the
-    # upper band edge diverge once p*q1 >= 1
-    m = product_radius([0.9], epsilon=0.9)
-    with pytest.raises(UnboundedBandError):
-        support_band(m, 0.0)
+INTERIOR_W = np.linspace(-L, L, 403)[1:-1]  # 401 values strictly inside
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+def test_support_band_gaussian_is_the_radius(d):
+    m = gaussian_band_radius(d)
+    for w, r in zip(INTERIOR_W, m.radius(INTERIOR_W, 0.0)):
+        assert support_band(m, w) == SupportBand(w, -r, r, 1.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2, -0.2])
+def test_support_band_affine_product_closed_form(eps):
+    # |z| = p(w)*(q0 + q1*z) has the roots p*q0/(1 -+ p*q1), matched bit for bit
+    m = product_radius([0.25, 0, -0.5], epsilon=eps)
+    assert validate_model(m, Orientation.UPPER_M, 64).verdict
+    (q0, q1), p = m.q_coeffs, np.polynomial.polynomial.polyval(INTERIOR_W, m.p_coeffs)
+    for w, lo, up in zip(INTERIOR_W, -p * q0 / (1.0 + p * q1), p * q0 / (1.0 - p * q1)):
+        assert support_band(m, w) == SupportBand(w, lo, up, up / -lo)
+
+
+@pytest.mark.parametrize(
+    "model", [gaussian_band_radius(1.0), product_radius([0.25, 0, -0.5], epsilon=0.2)]
+)
+def test_support_band_zero_width_at_the_corners(model):
+    for w in (L, -L):  # r is NaN (gaussian) or a ~1e-16 residue (product) there
+        band = support_band(model, w)
+        assert (str(band.lower), band.upper, band.kappa) == ("-0.0", 0.0, math.inf)
+
+
+def test_support_band_clipped_to_the_diamond():
+    band = support_band(constant_radius(0.2), 0.6)  # spills over the boundary
+    assert band.lower == -band.upper and 0.0 <= (L - 0.6) - band.upper <= 1e-14
+    # p*q1 > 1: the upper edge has no root and closes on the boundary
+    band = support_band(product_radius([0.9], epsilon=0.9), 0.0)
+    assert 0.0 <= L - band.upper <= 1e-14
+    assert band.lower == pytest.approx(-0.9 / (1.0 + 0.9 * 0.9 * SQRT2), abs=1e-14)
+    # a non-affine q: |z| = 0.25 - 0.5*z^2 has the roots +-(sqrt(1.5) - 1)
+    band = support_band(product_radius([1.0], q=[0.25, 0, -0.5]), 0.1)
+    assert band.upper == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-14) == -band.lower
 
 
 def test_json_round_trip():

@@ -37,6 +37,23 @@ def test_counter_uniforms_are_keyed_and_open():
     assert np.array_equal(a[100:200], counter_uniforms(1, idx[100:200]))
 
 
+def test_counter_uniforms_top_draw_is_below_one():
+    # the draw with all 53 top bits set, (2^53 - 1) + 0.5, rounds to 2^53 (1.0);
+    # its counter inverts the splitmix64 finalizer, and this seed makes the key 0
+    def unshift(y, k):  # inverts y ^ (y >> k)
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    m64, inv = 2**64 - 1, lambda a: pow(a, -1, 2**64)
+    x = unshift(unshift(m64, 31) * inv(0x94D049BB133111EB) & m64, 27)
+    x = unshift(x * inv(0xBF58476D1CE4E5B9) & m64, 30)
+    counter = (x * inv(0x9E3779B97F4A7C15) - 1) & m64
+    u = counter_uniforms(0xD1B54A32D192ED03, [counter - 1, counter, counter + 1])
+    assert u[1] == np.nextafter(1.0, 0.0) and np.all((u > 0.0) & (u < 1.0))
+
+
 def test_conditional_draw_symmetry():
     v = conditional_inverse(GAUSS, 0.5, 0.5)
     assert v == pytest.approx(0.5, abs=1e-10)

@@ -1,15 +1,23 @@
-"""The benchmark tracer's targets still resolve.
+"""The benchmark's references into fhsmooth still resolve.
 
-`perfbench/tracing.py` wraps fhsmooth's public names where the calling
-module looks them up, by `owner.__dict__[attr]`.  A refactor that moves or
-renames one of them breaks the traced benchmark run, and nothing else would
-notice.  This test loads the tracer from its file without changing it,
-checks every target, and installs and removes the tracer once.
+`perfbench/` imports fhsmooth names, reads attributes of fhsmooth modules,
+and its tracer wraps public names where the calling module looks them up,
+by `owner.__dict__[attr]`.  A refactor that moves, renames or deletes one
+of them breaks the benchmark, which this suite does not run, and nothing
+else would notice.  These tests parse the benchmark's files without
+running them, and load the tracer from its file without changing it,
+check every target, and install and remove the tracer once.
 """
 
+import ast
+import importlib
 import importlib.util
+import pkgutil
 import sys
+import types
 from pathlib import Path
+
+import fhsmooth
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -40,3 +48,34 @@ def test_tracer_targets_resolve():
             assert owner.__dict__[attr] is not original
     for (owner, attr, _, _), original in zip(targets, originals):
         assert owner.__dict__[attr] is original
+
+
+def test_benchmark_references_resolve():
+    # every `from fhsmooth... import name`, and every attribute read on an
+    # imported fhsmooth module, in each perfbench/*.py file
+    for info in pkgutil.iter_modules(fhsmooth.__path__):  # so `from fhsmooth import cli` resolves
+        importlib.import_module(f"fhsmooth.{info.name}")
+    checked, missing = 0, []
+    for path in sorted(TRACING.parent.glob("*.py")):
+        tree, modules = ast.parse(path.read_text()), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):  # `import fhsmooth.x` binds fhsmooth, `as y` binds x
+                for a in node.names:
+                    if a.name.split(".")[0] == "fhsmooth":
+                        modules[a.asname or "fhsmooth"] = sys.modules[a.name if a.asname else "fhsmooth"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fhsmooth"):
+                for a in node.names:
+                    checked += 1
+                    obj = getattr(sys.modules.get(node.module), a.name, None)
+                    if obj is None:
+                        missing.append(f"{path.name}:{node.lineno} {node.module}.{a.name}")
+                    elif isinstance(obj, types.ModuleType):
+                        modules[a.asname or a.name] = obj
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                checked += 1
+                owner = modules[node.value.id]
+                if not hasattr(owner, node.attr):
+                    missing.append(f"{path.name}:{node.lineno} {owner.__name__}.{node.attr}")
+    assert not missing, f"benchmark references that no longer resolve: {missing}"
+    assert checked >= 30, checked

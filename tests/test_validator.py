@@ -1,23 +1,20 @@
-import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from band_helpers import band_average, band_average_second_partials
 from fhsmooth.copulas import CopulaSpec, copula_density
-from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint
+from fhsmooth.geometry import DIAMOND_RADIUS, DiamondPoint
 from fhsmooth.oracle import fd_second_partials
-from fhsmooth.radius import (
-    RadiusJet,
-    constant_radius,
-    gaussian_band_radius,
-    product_radius,
-)
+from fhsmooth.radius import constant_radius, gaussian_band_radius, product_radius
 from fhsmooth.validator import (
+    _QUAD_TOL,
     Orientation,
-    certify_pointwise,
+    _paper_conditions,
+    _quad_coeffs,
+    _quad_min,
     containment_check,
-    sharper_exact_condition,
     validate_model,
 )
 
@@ -26,17 +23,26 @@ UP = Orientation.UPPER_M
 LOW = Orientation.LOWER_W
 
 
+def certify(jet, o):
+    """validate_model's quadratic gate and paper conditions at one jet (r, r_w, r_z, r_ww, r_zz)."""
+    a, b, c = (float(x) for x in _quad_coeffs(o, *jet))
+    m = float(_quad_min(a, b, c))
+    return SimpleNamespace(a=a, b=b, c=c, min_value_on_unit_interval=m, passed=m >= _QUAD_TOL,
+                           paper_condition_pass=bool(_paper_conditions(o, *jet[1:])))
+
+
 def test_certificate_constant():
-    cert = certify_pointwise(RadiusJet(0.2, 0, 0, 0, 0), UP)
+    cert = certify((0.2, 0, 0, 0, 0), UP)
     assert (cert.a, cert.b, cert.c) == (0.0, 0.0, 1.0)
     assert cert.min_value_on_unit_interval == 1.0
     assert cert.passed and cert.paper_condition_pass
 
 
 def test_certificate_gaussian_center():
-    jet = RadiusJet(*map(float, gaussian_band_radius(1.0).jet(0.0, 0.0)))
-    cert = certify_pointwise(jet, UP)
-    d_term = jet.r * (jet.r_zz - jet.r_ww) / 3.0
+    jet = tuple(map(float, gaussian_band_radius(1.0).jet(0.0, 0.0)))
+    cert = certify(jet, UP)
+    r, _, _, r_ww, r_zz = jet
+    d_term = r * (r_zz - r_ww) / 3.0
     assert d_term == pytest.approx(0.0906378, abs=1e-6)
     assert cert.a == pytest.approx(-d_term, abs=1e-12)
     assert cert.b == pytest.approx(0.0, abs=1e-12)
@@ -47,19 +53,19 @@ def test_certificate_gaussian_center():
 
 
 def test_certificate_synthetic_failure():
-    cert = certify_pointwise(RadiusJet(0.3, 1.5, 0, 0, 0), UP)
+    cert = certify((0.3, 1.5, 0, 0, 0), UP)
     assert cert.min_value_on_unit_interval == pytest.approx(1 - 1.5**2, abs=1e-14)
     assert not cert.passed
 
 
 def test_certificate_coefficients_orientation_swap():
-    jet = RadiusJet(0.3, 0.1, 0.2, -0.5, 0.4)
-    up = certify_pointwise(jet, UP)
+    jet = (0.3, 0.1, 0.2, -0.5, 0.4)
+    up = certify(jet, UP)
     d_up = 0.3 * (0.4 - (-0.5)) / 3
     assert up.a == pytest.approx(0.2**2 - 0.1**2 - d_up, abs=1e-15)
     assert up.b == pytest.approx(-0.4, abs=1e-15)
     assert up.c == pytest.approx(1 + d_up, abs=1e-15)
-    low = certify_pointwise(jet, LOW)
+    low = certify(jet, LOW)
     d_low = 0.3 * (-0.5 - 0.4) / 3
     assert low.a == pytest.approx(0.1**2 - 0.2**2 - d_low, abs=1e-15)
     assert low.b == pytest.approx(-0.2, abs=1e-15)
@@ -68,8 +74,7 @@ def test_certificate_coefficients_orientation_swap():
 
 def test_certificate_vertex_branch():
     # a > 0, |b| <= 2a: interior vertex is the minimum
-    jet = RadiusJet(1.0, 0.0, 0.5, 0.0, -1.2)
-    cert = certify_pointwise(jet, UP)
+    cert = certify((1.0, 0.0, 0.5, 0.0, -1.2), UP)
     assert cert.a > 0 and abs(cert.b) <= 2 * cert.a
     vertex = cert.c - cert.b**2 / (4 * cert.a)
     endpoints = min(cert.a + cert.b + cert.c, cert.a - cert.b + cert.c)
@@ -77,11 +82,6 @@ def test_certificate_vertex_branch():
         min(vertex, endpoints), abs=1e-15
     )
     assert cert.min_value_on_unit_interval == pytest.approx(vertex, abs=1e-15)
-
-
-def test_certificate_requires_positive_radius():
-    with pytest.raises(ValueError):
-        certify_pointwise(RadiusJet(0.0, 0, 0, 0, 0), UP)
 
 
 def test_containment_constant_fails_near_corners():
@@ -185,33 +185,9 @@ def test_sufficient_conditions_imply_certificate_when_symmetric():
         r_w = rng.uniform(-1.2, 1.2)
         r_ww = rng.uniform(-3, 3)
         r_zz = rng.uniform(-3, 3)
-        jet = RadiusJet(r, r_w, 0.0, r_ww, r_zz)
-        cert = certify_pointwise(jet, UP)
+        cert = certify((r, r_w, 0.0, r_ww, r_zz), UP)
         if cert.paper_condition_pass:
             assert cert.passed
-
-
-def test_sharper_exact_condition_matches_vertex_branch():
-    rng = np.random.default_rng(16)
-    seen_defined = 0
-    for _ in range(2000):
-        jet = RadiusJet(
-            rng.uniform(0.05, 0.6),
-            rng.uniform(-1, 1),
-            rng.uniform(-1, 1),
-            rng.uniform(-2, 2),
-            rng.uniform(-2, 2),
-        )
-        verdict = sharper_exact_condition(jet, UP)
-        cert = certify_pointwise(jet, UP)
-        if verdict is None:
-            assert cert.a <= 0
-            continue
-        seen_defined += 1
-        b_single = -jet.r_z
-        vertex_ok = cert.c - b_single**2 / (4 * cert.a) >= -1e-12
-        assert verdict == vertex_ok
-    assert seen_defined > 50
 
 
 def test_validated_models_have_nonnegative_density():
