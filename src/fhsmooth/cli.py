@@ -9,6 +9,7 @@ fail, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict
@@ -31,7 +32,9 @@ _COPULAS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="fhsmooth",
         description="Evaluate, validate, check, and sample disc-averaged "
@@ -135,9 +138,8 @@ def _dispatch(parser, args) -> int:
             dens = copula_density(spec, u, v)
         else:
             dens = np.zeros_like(values)  # singular: a.e. density
-        write_output(
-            csv_text("u,v,value,density", zip(u, v, values, dens)), args.out
-        )
+        rows = np.column_stack([u, v, values, dens])
+        write_output(csv_text("u,v,value,density", rows), args.out)
         return 0
 
     if args.command == "validate":

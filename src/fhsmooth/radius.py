@@ -28,6 +28,10 @@ Three model kinds are supported:
 
   Both quantile arguments must stay inside (0, 1), which forces
   r < 1/sqrt(2) - |w|; in particular |r'| < 1 and r'' <= 0 everywhere.
+
+  The solve runs once per distinct w in a call and is scattered back to the
+  points.  That is exact: each point stops on its own, so its result depends
+  on its own w only.  An n x n lattice in (u, v) has fewer than 2n distinct w.
 """
 
 from __future__ import annotations
@@ -188,18 +192,27 @@ class GaussianBandRadius:
         y = x + d
         return x, y, (ndtr(-x) - ndtr(-y)) / SQRT2
 
+    def _solve_distinct(self, w):
+        """(distinct w, index scattering them back, x, y, r solved on them).
+
+        -0.0 and 0.0 share a slot: both give the same results (np.sign is 0).
+        """
+        wu, back = np.unique(w.ravel(), return_inverse=True)
+        return wu, back, *self._solve(wu)
+
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-        return np.reshape(self._solve(w.ravel())[2], w.shape)
+        _, back, _, _, r = self._solve_distinct(w)
+        return np.reshape(r[back], w.shape)
 
     def jet(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-        x, y, r = self._solve(w.ravel())
+        wu, back, x, y, r = self._solve_distinct(w)
         px = std_normal_pdf(x)
         py = std_normal_pdf(y)
-        r_w = np.sign(w.ravel()) * (py - px) / (py + px)
+        r_w = np.sign(wu) * (py - px) / (py + px)
         r_ww = -self.d * (1.0 - r_w * r_w) / (SQRT2 * (px + py))
-        r, r_w, r_ww = (np.reshape(a, w.shape) for a in (r, r_w, r_ww))
+        r, r_w, r_ww = (np.reshape(a[back], w.shape) for a in (r, r_w, r_ww))
         zero = np.zeros_like(r)
         return r, r_w, zero, r_ww, zero
 
@@ -229,7 +242,9 @@ def band_edges(model, o: Orientation, s):
     frame o, found by Newton's method safeguarded with bisection.  Where r
     does not depend on the band coordinate the first Newton step lands on r
     exactly, and where r is affine in it, on the closed-form edge; where no
-    root lies inside the diamond the bracket closes on the boundary.
+    root lies inside the diamond the bracket closes on the boundary.  A point
+    keeps its tau once it has converged, so its edges depend on its own s
+    only: a batch gives bit for bit the edges of one-point calls.
     """
     sign = np.repeat([1.0, -1.0], s.size)
     ss = np.tile(s, 2)
@@ -240,14 +255,15 @@ def band_edges(model, o: Orientation, s):
         r, r_w, r_z, _, _ = model.jet(*o.swap(sign * tau, ss))
         r_t = o.swap(r_w, r_z)[0]
         f = tau - r
-        if np.all((np.abs(f) <= _BAND_TOL) | (hi - lo <= _BAND_TOL)):
+        done = (np.abs(f) <= _BAND_TOL) | (hi - lo <= _BAND_TOL)
+        if np.all(done):
             break
         below = f < 0
         lo = np.where(below, tau, lo)
         hi = np.where(below, hi, tau)
         cand = tau - f / (1.0 - sign * r_t)
         inside = (cand > lo) & (cand < hi)
-        tau = np.where(inside, cand, 0.5 * (lo + hi))
+        tau = np.where(done, tau, np.where(inside, cand, 0.5 * (lo + hi)))
     return -tau[s.size:], tau[: s.size]
 
 

@@ -7,6 +7,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 
 def format_float(x) -> str:
     """17 significant digits: enough to reproduce any double exactly."""
@@ -45,11 +47,15 @@ def json_text(obj, indent: int = 0) -> str:
 
 
 def csv_text(header: str, rows) -> str:
-    """Columnar float output under a fixed header line."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """Columnar float output under a fixed header line; rows is a 2-D array.
+
+    The whole array is formatted by one %-operation.  "%.17g" writes nan,
+    inf, -inf and -0 as ``format_float`` does, so each value reads the same.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n, k = rows.shape
+    line = ",".join(["%.17g"] * k) + "\n"
+    return header + "\n" + (line * n) % tuple(rows.ravel().tolist())
 
 
 def write_output(text: str, out_path=None):

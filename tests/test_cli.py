@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fhsmooth.cli import main
+from fhsmooth.cli import build_parser, main
 from fhsmooth.copulas import CopulaSpec, copula_density, copula_values, smoothed_value
 from fhsmooth.geometry import SquarePoint
 from fhsmooth.radius import gaussian_band_radius
@@ -190,3 +190,17 @@ def test_help_exits_zero(capsys):
     assert code == 0
     assert out.startswith("usage: fhsmooth")
 
+
+def test_main_reuses_one_parser(capsys):
+    # the argparse tree is built once per process; reusing it changes no
+    # exit code, stdout or stderr
+    eval_argv = ("eval", "--copula", "mbar", "--radius", GAUSS_JSON, "--u", "0.3", "--v", "0.6")
+    usage_argv = ("eval", "--copula", "mbar", "--u", "0.5")
+    first = [run(capsys, *eval_argv), run(capsys, *usage_argv), run(capsys, "--help"),
+             run(capsys, *usage_argv), run(capsys, *eval_argv), run(capsys, "--help")]
+    assert [c for c, _, _ in first] == [0, 2, 0, 2, 0, 0]
+    assert first[0] == first[4] and first[1] == first[3] and first[2] == first[5]
+    assert first[0][1] and not first[0][2]
+    assert first[1][2].startswith("usage: fhsmooth eval") and "--v" in first[1][2]
+    assert first[2][1].startswith("usage: fhsmooth")
+    assert build_parser() is build_parser()

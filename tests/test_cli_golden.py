@@ -131,7 +131,7 @@ GOLDEN = {
     ),
     "check-const": (
         ["check", "--copula", "mbar", "--radius", CONST, "--grid-n", "32"],
-        1, "cebdca956b42b36b7d8dd99f201e63eed212ed0385b6227c769617c6df478b88",
+        1, "e3280446611e9e9c4450803e694b89faca5f60bec3cab1aba6abec2a8d941d55",
     ),
     "check-lower": (
         ["check", "--copula", "wbar", "--radius", LOWER, "--grid-n", "32"],
@@ -188,7 +188,7 @@ GOLDEN = {
     ),
     "band-skew-too-large": (
         ["band", "--copula", "mbar", "--radius", WIDE, "--w", "0.0"],
-        0, "87813661e4326016f9696ff84c6e9827e97751c3d49747cb419862f581506381",
+        0, "4273341b21e7aec3e8110702ab04e5394ee2c96f6da7a284069f08580d45a2d7",
     ),
 }
 

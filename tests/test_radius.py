@@ -6,11 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DomainError, Orientation
+from fhsmooth.checker import _MASS_NODES
+from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DomainError, Orientation, uv_to_wz
 from fhsmooth.kernel import std_normal_quantile
 from fhsmooth.radius import (
     ModelSpecError,
     SupportBand,
+    band_edges,
     constant_radius,
     gaussian_band_radius,
     model_from_json,
@@ -249,9 +251,57 @@ def test_support_band_clipped_to_the_diamond():
     band = support_band(product_radius([0.9], epsilon=0.9), 0.0)
     assert 0.0 <= L - band.upper <= 1e-14
     assert band.lower == pytest.approx(-0.9 / (1.0 + 0.9 * 0.9 * SQRT2), abs=1e-14)
+    assert band.lower == -0.9 / (1.0 + 0.9 * (SQRT2 * 0.9))  # -p/(1 + p*q1) in float64
     # a non-affine q: |z| = 0.25 - 0.5*z^2 has the roots +-(sqrt(1.5) - 1)
     band = support_band(product_radius([1.0], q=[0.25, 0, -0.5]), 0.1)
     assert band.upper == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-14) == -band.lower
+
+
+def bits(a):
+    """Bit patterns, sign of zero included; every NaN is mapped to one pattern,
+    since numpy sets a NaN's sign bit by its position in the loop, not by value."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+MASS_SLICES = DIAMOND_RADIUS * np.polynomial.legendre.leggauss(_MASS_NODES)[0]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        constant_radius(0.2),
+        product_radius([0.6, 0, -1.2], epsilon=0.0),
+        product_radius([0.25, 0, -0.2], epsilon=0.3),
+    ],
+    ids=["constant", "steep", "skew"],
+)
+def test_band_edges_batch_equals_one_node_solves(model):
+    # a converged node keeps its edge while the rest of the batch iterates
+    edges = band_edges(model, Orientation.UPPER_M, MASS_SLICES)
+    for i in range(MASS_SLICES.size):
+        one = band_edges(model, Orientation.UPPER_M, MASS_SLICES[i : i + 1])
+        assert bits([e[0] for e in one]).tolist() == bits([e[i] for e in edges]).tolist()
+
+
+def test_band_edges_keeps_an_exact_root():
+    lower, upper = band_edges(constant_radius(0.2), Orientation.UPPER_M, np.array([0.0, 0.6]))
+    assert (lower[0], upper[0]) == (-0.2, 0.2)
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+def test_gaussian_solve_once_per_distinct_w_is_exact(d):
+    # a 64 x 64 lattice spanning the closed square (both corners of the
+    # singular axis included) plus signed zeros, NaNs and the corners
+    xs = np.linspace(0.0, 1.0, 64)
+    w, z = uv_to_wz(*np.meshgrid(xs, xs, indexing="ij"))
+    w = np.concatenate([w.ravel(), [-0.0, 0.0, math.nan, -math.nan, L, -L]]).reshape(2, -1)
+    z = np.concatenate([z.ravel(), np.zeros(6)]).reshape(w.shape)
+    m = gaussian_band_radius(d)
+    batch = [m.radius(w, z), *m.jet(w, z)]
+    for i, j in np.ndindex(w.shape):
+        one = [m.radius(w[i, j], z[i, j]), *m.jet(w[i, j], z[i, j])]
+        assert bits(one).tolist() == bits([a[i, j] for a in batch]).tolist(), (w[i, j], z[i, j])
 
 
 def test_json_round_trip():
