@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .copulas import CopulaSpec, copula_density, copula_values
-from .geometry import DIAMOND_RADIUS, wz_to_uv
+from .geometry import DIAMOND_RADIUS, Orientation, wz_to_uv
 from .radius import band_edges
 
 _BOUNDARY_TOL = 1e-8
@@ -99,8 +99,8 @@ def check_copula(spec: CopulaSpec, grid_n: int) -> CopulaCheckReport:
     volumes = c[1:, 1:] - c[1:, :-1] - c[:-1, 1:] + c[:-1, :-1]
     min_volume = float(np.min(volumes))
 
-    lower = np.maximum(uu + vv - 1.0, 0.0)
-    upper = np.minimum(uu, vv)
+    lower = Orientation.LOWER_W.fh_values(uu, vv)
+    upper = Orientation.UPPER_M.fh_values(uu, vv)
     frechet_ok = bool(
         np.all(c >= lower - _FRECHET_SLACK) and np.all(c <= upper + _FRECHET_SLACK)
     )

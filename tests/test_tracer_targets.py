@@ -6,7 +6,9 @@ by `owner.__dict__[attr]`.  A refactor that moves, renames or deletes one
 of them breaks the benchmark, which this suite does not run, and nothing
 else would notice.  These tests parse the benchmark's files without
 running them, and load the tracer from its file without changing it,
-check every target, and install and remove the tracer once.
+check every target, and install and remove the tracer once.  The
+benchmark's report checks are also run on real reports, since they call
+methods of fhsmooth results that no parse can see.
 """
 
 import ast
@@ -18,12 +20,16 @@ import types
 from pathlib import Path
 
 import fhsmooth
+from fhsmooth.checker import check_copula
+from fhsmooth.copulas import CopulaSpec
+from fhsmooth.radius import constant_radius, gaussian_band_radius
+from fhsmooth.validator import validate_model
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
     try:
@@ -34,7 +40,7 @@ def _load_tracing():
 
 
 def test_tracer_targets_resolve():
-    tracing = _load_tracing()
+    tracing = _load(TRACING, "perfbench_tracing")
     targets = tracing._targets()
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -79,3 +85,13 @@ def test_benchmark_references_resolve():
                     missing.append(f"{path.name}:{node.lineno} {owner.__name__}.{node.attr}")
     assert not missing, f"benchmark references that no longer resolve: {missing}"
     assert checked >= 30, checked
+
+
+def test_benchmark_report_checks_run():
+    # check_validation and check_report read report fields and format the
+    # report's to_json_dict(); an admissible and a rejected model each
+    checks = _load(TRACING.parent / "checks.py", "perfbench_checks")
+    for model, admissible in ((gaussian_band_radius(1.0), True), (constant_radius(0.2), False)):
+        spec = CopulaSpec("smoothed_upper", model)
+        checks.check_validation(validate_model(model, spec.orientation, 32), admissible)
+        checks.check_report(check_copula(spec, 64), spec, admissible)

@@ -5,7 +5,7 @@ import pytest
 
 from band_helpers import band_average, band_average_second_partials
 from fhsmooth.copulas import CopulaSpec, copula_density
-from fhsmooth.geometry import DIAMOND_RADIUS, DiamondPoint
+from fhsmooth.geometry import DIAMOND_RADIUS, DiamondPoint, uv_to_wz
 from fhsmooth.oracle import fd_second_partials
 from fhsmooth.radius import constant_radius, gaussian_band_radius, product_radius
 from fhsmooth.validator import (
@@ -145,6 +145,27 @@ def test_validate_report_json_fields():
         "verdict",
     }
     assert set(d["worst_point"]) == {"w", "z"}
+
+
+@pytest.mark.parametrize("grid_n", [8, 64])
+def test_validate_jet_sees_the_whole_lattice(grid_n):
+    # every midpoint is at least 1/(grid_n*sqrt(2)) inside the diamond, so
+    # the quadratic gate runs on all grid_n^2 points, in lattice order
+    inner, seen = gaussian_band_radius(1.0), []
+
+    class Recording:
+        radius = inner.radius
+
+        def jet(self, w, z):
+            seen.append((w, z))
+            return inner.jet(w, z)
+
+    assert validate_model(Recording(), UP, grid_n).verdict
+    mids = (np.arange(grid_n) + 0.5) / grid_n
+    uu, vv = np.meshgrid(mids, mids, indexing="ij")
+    want_w, want_z = uv_to_wz(uu.ravel(), vv.ravel())
+    [(w, z)] = seen
+    assert np.array_equal(w, want_w) and np.array_equal(z, want_z)
 
 
 def test_validate_grid_size_check():
