@@ -30,10 +30,13 @@ back to the sharp bound on the diamond's boundary (its continuous
 extension there) and raise RadiusEvalError inside; partials and density
 raise wherever it happens, and also at the two corners of the singular
 axis, where an admissible r is 0 whatever a model's rounding gives.
+
+Calls over 2**15 points run in 2**15-point blocks: same bits, bounded memory.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,6 +51,7 @@ SMOOTHED_FAMILIES = ("smoothed_lower", "smoothed_upper")
 FAMILIES = FH_FAMILIES + SMOOTHED_FAMILIES
 
 _BOUNDARY_TOL = 1e-12
+_BLOCK = 2**15  # points per pass; its temporaries then fit a core's L2 cache
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,6 @@ def _prelude(spec: CopulaSpec, u, v, jet: bool):
     boundary, where the caller has no value to fall back to.
     """
     _require_smoothed(spec)
-    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
     w, z = uv_to_wz(u, v)
     o = spec.orientation
     if jet:
@@ -106,9 +109,25 @@ def _prelude(spec: CopulaSpec, u, v, jet: bool):
             )
         r = np.where(good, r, 1.0)
     rho = t / r
-    return u, v, w, good, r, rho, derivs
+    return w, good, r, rho, derivs
 
 
+def _blocked(fn):
+    """Run ``fn`` on flat blocks of _BLOCK points in row-major order (exact: pointwise)."""
+    @functools.wraps(fn)
+    def blocked(spec, u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        if u.size <= _BLOCK:
+            return fn(spec, u, v)
+        shape, u, v = u.shape, u.ravel(), v.ravel()
+        parts = [fn(spec, u[i : i + _BLOCK], v[i : i + _BLOCK]) for i in range(0, u.size, _BLOCK)]
+        join = lambda blocks: np.concatenate(blocks).reshape(shape)
+        return tuple(map(join, zip(*parts))) if isinstance(parts[0], tuple) else join(parts)
+
+    return blocked
+
+
+@_blocked
 def copula_values(spec: CopulaSpec, u, v):
     """Copula values on arrays of (u, v); total on the closed square.
 
@@ -117,9 +136,8 @@ def copula_values(spec: CopulaSpec, u, v):
     value is the continuous extension, which there equals the sharp bound.
     """
     if not spec.smoothed:
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         return spec.orientation.fh_values(u, v)
-    u, v, w, good, r, rho, _ = _prelude(spec, u, v, jet=False)
+    w, good, r, rho, _ = _prelude(spec, u, v, jet=False)
     band = r * kernel_arrays(rho)[0]
     if spec.orientation is Orientation.LOWER_W:
         val = (w + band) / SQRT2
@@ -130,9 +148,10 @@ def copula_values(spec: CopulaSpec, u, v):
     return val
 
 
+@_blocked
 def copula_partials(spec: CopulaSpec, u, v):
     """First partials (dC/du, dC/dv) of a smoothed copula on arrays."""
-    _, _, _, _, r, rho, (r_t, r_n, _, _) = _prelude(spec, u, v, jet=True)
+    _, _, r, rho, (r_t, r_n, _, _) = _prelude(spec, u, v, jet=True)
     _, g1, _, h = kernel_arrays(rho)
     b_t, b_n = h * r_t + g1, h * r_n
     if spec.orientation is Orientation.LOWER_W:
@@ -142,9 +161,10 @@ def copula_partials(spec: CopulaSpec, u, v):
     return (c_w - c_z) / SQRT2, (c_w + c_z) / SQRT2
 
 
+@_blocked
 def copula_density(spec: CopulaSpec, u, v):
     """Density of a smoothed copula on arrays; identically 0 where |rho| >= 1."""
-    _, _, _, _, r, rho, (r_t, r_n, r_tt, r_nn) = _prelude(spec, u, v, jet=True)
+    _, _, r, rho, (r_t, r_n, r_tt, r_nn) = _prelude(spec, u, v, jet=True)
     _, _, g2, h = kernel_arrays(rho)
     b_tt = g2 * (1.0 - rho * r_t) ** 2 / r + h * r_tt
     b_nn = g2 * (rho * r_n) ** 2 / r + h * r_nn

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,3 +278,65 @@ def test_product_corners_refuse_jets(spec, corners):
                 f(spec, u, v)
         assert abs(copula_values(spec, u, v) - spec.orientation.fh_values(u, v)) <= 1e-16
         assert np.isfinite(copula_density(spec, u + (1e-9 if u == 0 else -1e-9), v))  # just inside
+
+
+def _midpoints(n):
+    mids = (np.arange(n) + 0.5) / n
+    return np.meshgrid(mids, mids, indexing="ij")
+
+
+def _outputs(spec, u, v):
+    return (copula_values(spec, u, v), *copula_partials(spec, u, v), copula_density(spec, u, v))
+
+
+@pytest.mark.parametrize("spec", [GAUSS, VALID_LOWER[0]], ids=["upper", "lower"])
+def test_blocked_calls_equal_row_by_row(spec):
+    # 300^2 = 90 000 points run as two full 2^15-point blocks and a partial
+    # one; each row (300 points) is far below one block, so it is one pass
+    uu, vv = _midpoints(300)
+    rows = [_outputs(spec, uu[i], vv[i]) for i in range(300)]
+    for got, want in zip(_outputs(spec, uu, vv), zip(*rows)):
+        assert got.shape == (300, 300)
+        assert np.array_equal(got, np.stack(want))
+    # a scalar u broadcast against 40 000 v
+    v = (np.arange(40_000) + 0.5) / 40_000
+    pieces = [_outputs(spec, 0.3, v[i : i + 400]) for i in range(0, v.size, 400)]
+    for got, want in zip(_outputs(spec, 0.3, v), zip(*pieces)):
+        assert got.shape == v.shape
+        assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("first, second", [(70_001, 80_000), (32_767, 32_768)], ids=["one-block", "two-blocks"])
+def test_blocked_call_raises_at_the_first_undefined_point(first, second):
+    # the two flat points are the corners where the gaussian radius is
+    # undefined, in one block or on both sides of the first block's end; the
+    # first in row-major order is named, as by one pass over the rows
+    uu, vv = _midpoints(300)
+    uu.flat[first] = vv.flat[first] = 1.0
+    uu.flat[second] = vv.flat[second] = 0.0
+    with pytest.raises(RadiusEvalError, match=r"at u=1\.0, v=1\.0$") as blocked:
+        copula_density(GAUSS, uu, vv)
+    with pytest.raises(RadiusEvalError) as by_rows:
+        for i in range(300):
+            copula_density(GAUSS, uu[i], vv[i])
+    assert str(blocked.value) == str(by_rows.value)
+
+
+@pytest.mark.parametrize(
+    "f, limit_mb",
+    [(copula_values, 8.0), (copula_partials, 16.0), (copula_density, 8.0)],
+    ids=["values", "partials", "density"],
+)
+def test_large_calls_have_a_bounded_working_set(f, limit_mb):
+    # on a 512^2 lattice each output is 2 MB: the limits are four outputs'
+    # worth (eight for the pair of partials), far below what one pass over
+    # all points keeps alive
+    uu, vv = _midpoints(512)
+    f(GAUSS, uu, vv)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        f(GAUSS, uu, vv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6, peak

@@ -8,7 +8,9 @@ else would notice.  These tests parse the benchmark's files without
 running them, and load the tracer from its file without changing it,
 check every target, and install and remove the tracer once.  The
 benchmark's report checks are also run on real reports, since they call
-methods of fhsmooth results that no parse can see.
+methods of fhsmooth results that no parse can see, and one traced copula
+call pins the spans and point counts the tracer records for a call that
+fhsmooth evaluates in blocks.
 """
 
 import ast
@@ -19,7 +21,10 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import fhsmooth
+from fhsmooth import checker
 from fhsmooth.checker import check_copula
 from fhsmooth.copulas import CopulaSpec
 from fhsmooth.radius import constant_radius, gaussian_band_radius
@@ -95,3 +100,21 @@ def test_benchmark_report_checks_run():
         spec = CopulaSpec("smoothed_upper", model)
         checks.check_validation(validate_model(model, spec.orientation, 32), admissible)
         checks.check_report(check_copula(spec, 64), spec, admissible)
+
+
+def test_tracer_counts_blocked_density():
+    # a 512^2 density call runs in eight 2^15-point blocks: one copulas span,
+    # eight kernel and eight radius spans under it, and the same point counts
+    # as one pass
+    tracing = _load(TRACING, "perfbench_tracing")
+    mids = (np.arange(512) + 0.5) / 512
+    uu, vv = np.meshgrid(mids, mids, indexing="ij")
+    with tracing.Tracer().installed() as tracer:
+        checker.copula_density(CopulaSpec("smoothed_upper", gaussian_band_radius(1.0)), uu, vv)
+    spans = tracer.take()
+    top = [i for i, s in enumerate(spans) if s[0] == "copulas.density"]
+    assert len(top) == 1 and spans[top[0]][4] == 512 * 512
+    for layer in ("kernel", "radius"):
+        nested = [s for s in spans if s[0] == layer]
+        assert len(nested) == 8 and all(s[3] == top[0] for s in nested)
+        assert sum(s[4] for s in nested) == 512 * 512
