@@ -9,15 +9,8 @@ verifies everything against a brute-force quadrature/finite-difference
 oracle, and samples by conditional inversion.
 """
 
-from .checker import CopulaCheckReport, check_copula, rectangle_volume
-from .copulas import (
-    CopulaSpec,
-    copula_density,
-    copula_partials,
-    copula_values,
-    smoothed_density,
-    smoothed_value,
-)
+from .checker import CopulaCheckReport, check_copula
+from .copulas import CopulaSpec, copula_density, copula_partials, copula_values, smoothed_value
 from .geometry import (
     DIAMOND_RADIUS,
     DiamondPoint,

@@ -53,16 +53,6 @@ class CopulaCheckReport:
         return asdict(self)
 
 
-def rectangle_volume(spec: CopulaSpec, u1, u2, v1, v2) -> float:
-    """C-volume of [u1,u2] x [v1,v2]; nonnegative for every copula."""
-    if u1 > u2 or v1 > v2:
-        raise ValueError(f"rectangle requires u1<=u2 and v1<=v2, got {(u1, u2, v1, v2)}")
-    us = np.array([u2, u2, u1, u1])
-    vs = np.array([v2, v1, v2, v1])
-    c = copula_values(spec, us, vs)
-    return float(c[0] - c[1] - c[2] + c[3])
-
-
 def _density_mass(spec: CopulaSpec) -> float:
     """Integral of copula_density over the unit square (smoothed families)."""
     x, wts = np.polynomial.legendre.leggauss(_MASS_NODES)

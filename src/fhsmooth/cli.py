@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .checker import check_copula
-from .copulas import CopulaSpec, copula_density, copula_values, smoothed_density, smoothed_value
+from .copulas import CopulaSpec, copula_density, copula_values, smoothed_value
 from .geometry import DomainError, SquarePoint
 from .radius import ModelSpecError, RadiusEvalError, model_from_json, support_band
 from .sampler import InvalidModelError, sample_batch, to_gaussian
@@ -120,7 +120,8 @@ def _dispatch(parser, args) -> int:
     if args.command == "density":
         if not spec.smoothed:
             parser.error("density is defined for wbar/mbar only (w and m are singular)")
-        value = smoothed_density(spec, SquarePoint(args.u, args.v))
+        point = SquarePoint(args.u, args.v)
+        value = float(copula_density(spec, point.u, point.v))
         write_output(format_float(value), args.out)
         return 0
 

@@ -176,10 +176,6 @@ def smoothed_value(spec: CopulaSpec, p: SquarePoint) -> float:
     return float(copula_values(spec, p.u, p.v))
 
 
-def smoothed_density(spec: CopulaSpec, p: SquarePoint) -> float:
-    return float(copula_density(spec, p.u, p.v))
-
-
 def _require_smoothed(spec: CopulaSpec):
     if not spec.smoothed:
         raise ValueError(

@@ -34,7 +34,7 @@ def kernel_arrays(rho):
     Parameters
     ----------
     rho : array_like
-        Band coordinates; any finite values.
+        Band coordinates; any values.  A NaN gives NaN in all four outputs.
 
     Returns
     -------
@@ -43,25 +43,25 @@ def kernel_arrays(rho):
         function, elementwise.
     """
     rho = np.asarray(rho, dtype=float)
-    a = np.abs(rho)
-    inside = a < 1.0
-    rs = np.where(inside, rho, 0.0)
+    # at |rs| = 1 the formulas give g' = sign(rho), g'' = 0 and h = 0 exactly
+    # (2*arcsin(+-1)/pi is +-1.0); only g must switch to |rho| outside the band
+    rs = np.clip(rho, -1.0, 1.0)
     # sqrt(1 - rho^2) evaluated as sqrt((1-rho)(1+rho)) to avoid cancellation
     # near the seam: g, g', g'' and h are within 2^-51 absolute at |rho| ~ 1.
     s = np.sqrt((1.0 - rs) * (1.0 + rs))
     asin = np.arcsin(rs)
-    g = np.where(inside, 2.0 * (rs * asin + s * (2.0 + rs * rs) / 3.0) / np.pi, a)
-    g1 = np.where(inside, 2.0 * (asin + rs * s) / np.pi, np.sign(rho))
-    g2 = np.where(inside, 4.0 * s / np.pi, 0.0)
-    h = np.where(inside, 4.0 * s * s * s / (3.0 * np.pi), 0.0)
+    a = np.abs(rho)
+    g = np.where(a < 1.0, 2.0 * (rs * asin + s * (2.0 + rs * rs) / 3.0) / np.pi, a)
+    g1 = 2.0 * (asin + rs * s) / np.pi
+    g2 = 4.0 * s / np.pi
+    h = 4.0 * s * s * s / (3.0 * np.pi)
     return g, g1, g2, h
 
 
 def std_normal_pdf(x):
     """Standard normal density exp(-x^2/2)/sqrt(2*pi)."""
     x = np.asarray(x, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return float(out) if out.ndim == 0 else out
+    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def std_normal_quantile(p):
@@ -75,5 +75,4 @@ def std_normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("quantile requires probabilities strictly inside (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.ndim(p) == 0 else out
+    return ndtri(arr)

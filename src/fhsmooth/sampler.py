@@ -39,11 +39,9 @@ class InvalidModelError(ValueError):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Ordered (u, v) pairs plus the generator state that produced them."""
+    """Ordered (u, v) pairs, shape (n, 2)."""
 
-    pairs: np.ndarray  # shape (n, 2)
-    seed: int
-    spec: CopulaSpec
+    pairs: np.ndarray
 
 
 def _splitmix64(x):
@@ -92,10 +90,7 @@ def conditional_inverse(spec: CopulaSpec, u, t):
     once |f| reaches the rounding level of dC/du or its bracket is a few
     ulp wide, so its result depends on its own (u, t) only.
     """
-    scalar = np.ndim(u) == 0 and np.ndim(t) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    u, t = np.broadcast_arrays(u, t)
+    u, t = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(t, dtype=float))
     shape = u.shape
     u, t = u.ravel(), t.ravel()
     v = np.empty(u.size)
@@ -134,8 +129,7 @@ def conditional_inverse(spec: CopulaSpec, u, t):
             arr[keep] for arr in (run, u, t, ftol, a, b, c, fa, fb, fc, width, tol)
         )
         frac = _chandrupatla_step(t, a, b, c, fa, fb, fc, 0.5 * tol / width)
-    v = v.reshape(shape)
-    return float(v[0]) if scalar else v
+    return v.reshape(shape)
 
 
 def sample_batch(spec: CopulaSpec, n: int, seed: int) -> SampleBatch:
@@ -155,7 +149,7 @@ def sample_batch(spec: CopulaSpec, n: int, seed: int) -> SampleBatch:
     u = counter_uniforms(seed, idx * np.uint64(2))
     t = counter_uniforms(seed, idx * np.uint64(2) + np.uint64(1))
     v = conditional_inverse(spec, u, t)
-    return SampleBatch(pairs=np.column_stack([u, v]), seed=int(seed), spec=spec)
+    return SampleBatch(pairs=np.column_stack([u, v]))
 
 
 def to_gaussian(batch: SampleBatch) -> np.ndarray:

@@ -74,9 +74,6 @@ def _quad_coeffs(o: Orientation, r, r_w, r_z, r_ww, r_zz):
 
 def _quad_min(a, b, c):
     """Exact minimum of a*rho^2 + b*rho + c over [-1, 1] (vectorized)."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
     m = a + c - np.abs(b)  # min of the two endpoint values
     has_vertex = (a > 0) & (np.abs(b) <= 2.0 * a)
     safe_a = np.where(has_vertex, a, 1.0)

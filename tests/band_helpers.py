@@ -1,4 +1,4 @@
-"""The band average B = r*g(t/r) and its second partials, for tests.
+"""The band average B = r*g(t/r), its second partials and rectangle volumes, for tests.
 
 The library evaluates B only inside the copula formulas.  The derivative
 adjudication tests need B itself, to difference it numerically, and two
@@ -7,7 +7,16 @@ variant with a single rho*r_t cross term from which the classical
 sufficient conditions were derived (the two differ by g''*rho*r_t/r).
 """
 
+import numpy as np
+
+from fhsmooth.copulas import copula_values
 from fhsmooth.kernel import kernel_arrays
+
+
+def rectangle_volume(spec, u1, u2, v1, v2):
+    """C-volume of [u1, u2] x [v1, v2] for u1 <= u2, v1 <= v2; nonnegative for every copula."""
+    c = copula_values(spec, np.array([u2, u2, u1, u1]), np.array([v2, v1, v2, v1]))
+    return float(c[0] - c[1] - c[2] + c[3])
 
 
 def band_average(model, w, z, o):

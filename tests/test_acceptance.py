@@ -30,7 +30,6 @@ from fhsmooth.copulas import (
     copula_density,
     copula_partials,
     copula_values,
-    smoothed_density,
     smoothed_value,
 )
 from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint, SquarePoint, wz_to_uv
@@ -261,7 +260,7 @@ def test_criterion_6_regularity_ceiling():
             u, v = wz_to_uv(0.0, z)
             p = SquarePoint(float(u), float(v))
             du, dv = copula_partials(spec, p.u, p.v)
-            vals.append((smoothed_value(spec, p), float(du), float(dv), smoothed_density(spec, p)))
+            vals.append((smoothed_value(spec, p), float(du), float(dv), float(copula_density(spec, p.u, p.v))))
         inner, outer = vals
         seam_ok &= abs(inner[0] - outer[0]) <= 5 * eps
         seam_ok &= abs(inner[1] - outer[1]) <= 5 * eps

@@ -5,13 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from band_helpers import band_average_second_partials
+from band_helpers import band_average_second_partials, rectangle_volume
 from fhsmooth.copulas import (
     CopulaSpec,
     copula_density,
     copula_partials,
     copula_values,
-    smoothed_density,
     smoothed_value,
 )
 from fhsmooth.geometry import SQRT2, Orientation, SquarePoint, uv_to_wz, wz_to_uv
@@ -95,14 +94,14 @@ def test_partials_match_finite_differences():
 
 
 def test_density_constant_model():
-    assert smoothed_density(CONST, SquarePoint(0.5, 0.5)) == pytest.approx(
+    assert copula_density(CONST, 0.5, 0.5) == pytest.approx(
         SQRT2 / (math.pi * 0.2), abs=1e-13
     )
     # on the band edge (z = r exactly) the density vanishes
     u = 0.3
     v = u + 0.2 * SQRT2
-    assert smoothed_density(CONST, SquarePoint(u, v)) == 0.0
-    assert smoothed_density(CONST, SquarePoint(0.2, 0.8)) == 0.0
+    assert copula_density(CONST, u, v) == 0.0
+    assert copula_density(CONST, 0.2, 0.8) == 0.0
 
 
 def test_density_matches_finite_differences():
@@ -120,7 +119,7 @@ def test_density_matches_finite_differences():
         fd = (c(u + s, v + s) - c(u + s, v - s) - c(u - s, v + s) + c(u - s, v - s)) / (
             4 * s * s
         )
-        an = smoothed_density(GAUSS, SquarePoint(u, v))
+        an = float(copula_density(GAUSS, u, v))
         assert abs(an - fd) <= 1e-6 * max(abs(fd), 1e-6)
 
 
@@ -173,8 +172,6 @@ def test_density_integral_converges_to_one():
     # on its singular axis (the band pinches, c ~ 1/r), so the midpoint rule
     # carries an O(1/n) crest bias there; total mass is exactly 1 by the
     # rectangle volume.  Checked: bias shrinks ~2x per refinement.
-    from fhsmooth.checker import rectangle_volume
-
     assert rectangle_volume(GAUSS, 0, 1, 0, 1) == pytest.approx(1.0, abs=1e-9)
     errs = []
     for n in (251, 501, 1001):
@@ -211,7 +208,7 @@ def test_value_partials_density_continuous_across_band_edge():
             u, v = wz_to_uv(0.0, z)
             p = SquarePoint(float(u), float(v))
             du, dv = copula_partials(GAUSS, p.u, p.v)
-            pts.append((smoothed_value(GAUSS, p), float(du), float(dv), smoothed_density(GAUSS, p)))
+            pts.append((smoothed_value(GAUSS, p), float(du), float(dv), float(copula_density(GAUSS, p.u, p.v))))
         inner, outer = pts
         assert abs(inner[0] - outer[0]) <= 5 * eps
         assert abs(inner[1] - outer[1]) <= 5 * eps
@@ -240,7 +237,7 @@ def test_band_average_second_partials_variants_differ():
 
 def test_density_rejects_fh_families():
     with pytest.raises(ValueError):
-        smoothed_density(CopulaSpec("fh_upper"), SquarePoint(0.5, 0.5))
+        copula_density(CopulaSpec("fh_upper"), 0.5, 0.5)
     with pytest.raises(ValueError):
         copula_partials(CopulaSpec("fh_lower"), 0.5, 0.5)
 
