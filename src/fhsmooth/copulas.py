@@ -27,7 +27,8 @@ model's (w, z) jet to (t, n) and back, so each formula is written once for
 both bounds.  All three array functions start from one prelude, which also
 holds the rule for points where r is not a positive number: values fall
 back to the sharp bound on the diamond's boundary (its continuous
-extension there) and raise RadiusEvalError inside; partials and density
+extension there), as they do where r there is a rounding residue of at
+most 1e-12, and raise RadiusEvalError inside; partials and density
 raise wherever it happens, and also at the two corners of the singular
 axis, where an admissible r is 0 whatever a model's rounding gives.
 
@@ -81,8 +82,9 @@ class CopulaSpec:
 def _prelude(spec: CopulaSpec, u, v, jet: bool):
     """Frame, radius (or jet in (t, n) order) and rho = t/r on arrays of (u, v).
 
-    Where r is not a positive number, or for a jet at a corner of the
-    singular axis, rho uses r = 1 and ``good`` is False.  That raises
+    Where r is not a positive number, for a jet at a corner of the singular
+    axis, or for a radius of at most _BOUNDARY_TOL on the diamond's boundary,
+    rho uses r = 1 and ``good`` is False.  That raises
     RadiusEvalError for a jet, and for a radius away from the diamond's
     boundary, where the caller has no value to fall back to.
     """
@@ -96,10 +98,13 @@ def _prelude(spec: CopulaSpec, u, v, jet: bool):
         r, derivs = spec.model.radius(w, z), ()
     t = o.swap(w, z)[0]
     good = np.isfinite(r) & (r > 0)
+    # an admissible r is 0 at the corners of the singular axis (t = 0 on the
+    # boundary); a rounding residue there (p(1/sqrt(2)) ~ 1e-16) is no radius.
+    # Values key this on r itself, so an inadmissible model's corner r still counts
     if jet and not np.all(t):
-        # an admissible r is 0 at the corners of the singular axis (t = 0 on the
-        # boundary); a rounding residue there (p(1/sqrt(2)) ~ 1e-16) is no radius
         good &= (t != 0) | (diamond_margin(w, z) > _BOUNDARY_TOL)
+    elif not jet and np.any(r <= _BOUNDARY_TOL):
+        good &= (r > _BOUNDARY_TOL) | (diamond_margin(w, z) > _BOUNDARY_TOL)
     if not good.all():
         stuck = ~good if jet else ~good & (diamond_margin(w, z) > _BOUNDARY_TOL)
         if stuck.any():

@@ -63,7 +63,7 @@ GOLDEN = {
     ),
     "eval-lower-corner10": (
         ["eval", "--copula", "wbar", "--radius", LOWER, "--u", "1", "--v", "0"],
-        0, "576547fddc39d30005f9717da80afed774c34ba21328c6050191b029a8688ef7",
+        0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     ),
     "density-const": (
         ["density", "--copula", "mbar", "--radius", CONST, "--u", "0.5", "--v", "0.5"],

@@ -267,14 +267,22 @@ def test_undefined_radius_rule():
 )
 def test_product_corners_refuse_jets(spec, corners):
     # r vanishes at the corners of the singular axis, but the polynomial rounds
-    # to ~1e-16 > 0 there: partials and density raise, as for the gaussian
+    # to ~1e-16 > 0 there: partials and density raise, as for the gaussian,
+    # and the value is the sharp bound's, not r*g(0) of that residue
     for u, v in corners:
         assert 0.0 < spec.model.radius(*uv_to_wz(u, v)) < 1e-15
         for f in (copula_partials, copula_density):
             with pytest.raises(RadiusEvalError, match=re.escape(f"at u={u!r}, v={v!r}") + "$"):
                 f(spec, u, v)
-        assert abs(copula_values(spec, u, v) - spec.orientation.fh_values(u, v)) <= 1e-16
+        assert copula_values(spec, u, v) == spec.orientation.fh_values(u, v)
         assert np.isfinite(copula_density(spec, u + (1e-9 if u == 0 else -1e-9), v))  # just inside
+
+
+def test_corner_value_keeps_an_inadmissible_radius():
+    # values drop only an r of rounding size on the boundary: the constant
+    # model's r = 0.2 at (0, 0) still gives its corner defect -0.2*g(0)/sqrt(2)
+    assert copula_values(CONST, 0.0, 0.0) == pytest.approx(-0.2 * G0 / SQRT2, abs=1e-15)
+    assert copula_values(CONST_LOWER, 1.0, 0.0) == pytest.approx(0.2 * G0 / SQRT2, abs=1e-15)
 
 
 def _midpoints(n):
