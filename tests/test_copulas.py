@@ -278,11 +278,18 @@ def test_product_corners_refuse_jets(spec, corners):
         assert np.isfinite(copula_density(spec, u + (1e-9 if u == 0 else -1e-9), v))  # just inside
 
 
-def test_corner_value_keeps_an_inadmissible_radius():
-    # values drop only an r of rounding size on the boundary: the constant
-    # model's r = 0.2 at (0, 0) still gives its corner defect -0.2*g(0)/sqrt(2)
-    assert copula_values(CONST, 0.0, 0.0) == pytest.approx(-0.2 * G0 / SQRT2, abs=1e-15)
-    assert copula_values(CONST_LOWER, 1.0, 0.0) == pytest.approx(0.2 * G0 / SQRT2, abs=1e-15)
+def test_nan_point_gives_nan():
+    # NaN never becomes a number: it reaches the kernel only where r is
+    # defined at it (the constant model); elsewhere the value falls back to
+    # the sharp bound at NaN and the jets raise
+    u, v = np.array([np.nan, 0.5]), np.array([0.5, np.nan])
+    for spec in (CONST, CONST_LOWER):
+        for out in (copula_values(spec, u, v), *copula_partials(spec, u, v), copula_density(spec, u, v)):
+            assert np.all(np.isnan(out))
+    assert np.all(np.isnan(copula_values(GAUSS, u, v)))
+    for f in (copula_partials, copula_density):
+        with pytest.raises(RadiusEvalError, match=r"at u=nan, v=0\.5$"):
+            f(GAUSS, u, v)
 
 
 def _midpoints(n):

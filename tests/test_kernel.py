@@ -108,6 +108,29 @@ def test_seam_matches_mpmath():
     assert max(worst) <= 2.0**-51, worst
 
 
+def test_kernel_edge_values():
+    # exact outputs at the band's edges, the float neighbours of 1 and the
+    # float extremes; each row holds for rho and -rho, where g' changes sign
+    # (signed zeros included) and g, g'' and h do not
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)  # 1 - 2^-53, 1 + 2^-52
+    g0, g2_0, h0 = 0.42441318157838753, 4.0 / math.pi, 4.0 / (3.0 * math.pi)
+    table = [
+        (0.0, g0, 0.0, g2_0, h0),
+        (5e-324, g0, 5e-324, g2_0, h0),
+        (below, below, 1.0, g2_0 * 2.0**-26, h0 * 2.0**-78),  # sqrt(1 - rho^2) = 2^-26
+        (1.0, 1.0, 1.0, 0.0, 0.0),
+        (above, above, 1.0, 0.0, 0.0),
+        (1e300, 1e300, 1.0, 0.0, 0.0),
+        (math.inf, math.inf, 1.0, 0.0, 0.0),
+    ]
+    for rho, g, g1, g2, h in table:
+        for sign in (1.0, -1.0):
+            got = kernel_at(sign * rho)
+            assert got == (g, sign * g1, g2, h), (sign * rho, got)
+            assert math.copysign(1.0, got[1]) == sign
+    assert all(math.isnan(x) for x in kernel_at(math.nan))
+
+
 def test_third_derivative_blows_up_at_seam():
     # centered third-difference estimate at rho = 1 - 10^-k, step 10^-k
     prev = 0.0

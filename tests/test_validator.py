@@ -168,6 +168,23 @@ def test_validate_jet_sees_the_whole_lattice(grid_n):
     assert np.array_equal(w, want_w) and np.array_equal(z, want_z)
 
 
+@pytest.mark.parametrize("d", [0.05, 0.5, 1.0, 5.0])
+def test_gaussian_band_margin_is_one_minus_slope_squared(d):
+    # in UPPER_M the gaussian band has r_t = r_tt = 0, so b = 0 and
+    # a = -r_w^2 + r*r_ww/3 <= 0: the minimum over [-1, 1] is the endpoint
+    # value a + c = 1 - r'(w)^2 > 0, and the lattice verdict is exact
+    model = gaussian_band_radius(d)
+    mids = (np.arange(256) + 0.5) / 256
+    uu, vv = np.meshgrid(mids, mids, indexing="ij")
+    r, r_w, r_z, r_ww, r_zz = model.jet(*uv_to_wz(uu.ravel(), vv.ravel()))
+    a, b, c = _quad_coeffs(UP, r, r_w, r_z, r_ww, r_zz)
+    assert np.all(b == 0.0) and np.all(a <= 0.0)
+    margins = _quad_min(a, b, c)
+    assert np.max(np.abs(margins - (1.0 - r_w * r_w))) <= 4e-15
+    assert np.min(margins) > 0.0
+    assert validate_model(model, UP, 256).verdict
+
+
 def test_validate_grid_size_check():
     with pytest.raises(ValueError):
         validate_model(constant_radius(0.2), UP, 4)
