@@ -18,6 +18,7 @@ which absorbs the sqrt(1 - rho^2) behaviour of g'' at the band edges.  The
 edges come from ``radius.band_edges``, the solver behind ``support_band``
 too; they are clipped to the diamond, so a band that spills over the
 boundary (e.g. the constant model) is integrated over the square only.
+The rule's Gauss-Legendre nodes and weights are built once, at import.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ _DENSITY_TOL = -1e-10
 _INTEGRAL_TOL = 1e-3
 _FRECHET_SLACK = 1e-12
 _MASS_NODES = 128  # per axis; the accuracy depends on the band, not the lattice
+_MASS_X, _MASS_WTS = np.polynomial.legendre.leggauss(_MASS_NODES)
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class CopulaCheckReport:
 
 def _density_mass(spec: CopulaSpec) -> float:
     """Integral of copula_density over the unit square (smoothed families)."""
-    x, wts = np.polynomial.legendre.leggauss(_MASS_NODES)
+    x, wts = _MASS_X, _MASS_WTS
     s = DIAMOND_RADIUS * x
     t_lo, t_hi = band_edges(spec.model, spec.orientation, s)
     mid = 0.5 * (t_lo + t_hi)

@@ -143,7 +143,7 @@ def copula_values(spec: CopulaSpec, u, v):
     if not spec.smoothed:
         return spec.orientation.fh_values(u, v)
     w, good, r, rho, _ = _prelude(spec, u, v, jet=False)
-    band = r * kernel_arrays(rho)[0]
+    band = r * kernel_arrays(rho, order=0)
     if spec.orientation is Orientation.LOWER_W:
         val = (w + band) / SQRT2
     else:
@@ -157,7 +157,7 @@ def copula_values(spec: CopulaSpec, u, v):
 def copula_partials(spec: CopulaSpec, u, v):
     """First partials (dC/du, dC/dv) of a smoothed copula on arrays."""
     _, _, r, rho, (r_t, r_n, _, _) = _prelude(spec, u, v, jet=True)
-    _, g1, _, h = kernel_arrays(rho)
+    g1, h = kernel_arrays(rho, order=1)
     b_t, b_n = h * r_t + g1, h * r_n
     if spec.orientation is Orientation.LOWER_W:
         c_w, c_z = (1.0 + b_t) / SQRT2, b_n / SQRT2
@@ -170,7 +170,7 @@ def copula_partials(spec: CopulaSpec, u, v):
 def copula_density(spec: CopulaSpec, u, v):
     """Density of a smoothed copula on arrays; identically 0 where |rho| >= 1."""
     _, _, r, rho, (r_t, r_n, r_tt, r_nn) = _prelude(spec, u, v, jet=True)
-    _, _, g2, h = kernel_arrays(rho)
+    g2, h = kernel_arrays(rho, order=2)
     b_tt = g2 * (1.0 - rho * r_t) ** 2 / r + h * r_tt
     b_nn = g2 * (rho * r_n) ** 2 / r + h * r_nn
     return (b_tt - b_nn) / (2.0 * SQRT2)

@@ -14,6 +14,11 @@ everything built on it.  The companions are
     h(rho)   = 4*(1-rho^2)^(3/2)/(3*pi) = g - rho*g' = (1-rho^2)*g''/3
 
 with all four identically |rho|, sign(rho), 0, 0 outside the open band.
+
+``kernel_arrays`` computes only what one copula output reads: order 0
+gives g (values), order 1 gives (g', h) (partials) and order 2 gives
+(g'', h) (density).  g'' and h are functions of sqrt(1 - rho^2) alone, so
+the density needs no arcsin.
 """
 
 from __future__ import annotations
@@ -28,19 +33,25 @@ from .geometry import DomainError
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def kernel_arrays(rho):
-    """Vectorized evaluation of (g, g', g'', h).
+def kernel_arrays(rho, *, order):
+    """Vectorized evaluation of the kernel outputs that one copula output reads.
 
     Parameters
     ----------
     rho : array_like
-        Band coordinates; any values.  A NaN gives NaN in all four outputs.
+        Band coordinates; any values.  A NaN gives NaN in every output.
+    order : {0, 1, 2}
+        The derivative of g wanted: 0 for the values, 1 for the partials,
+        2 for the density.
 
     Returns
     -------
-    g, g1, g2, h : ndarray
-        Kernel value, first and second derivative, and the auxiliary
-        function, elementwise.
+    g : ndarray
+        For order 0.
+    g1, h : ndarray
+        For order 1: first derivative and the auxiliary function.
+    g2, h : ndarray
+        For order 2: second derivative and the auxiliary function; no arcsin.
     """
     rho = np.asarray(rho, dtype=float)
     # at |rs| = 1 the formulas give g' = sign(rho), g'' = 0 and h = 0 exactly
@@ -49,13 +60,15 @@ def kernel_arrays(rho):
     # sqrt(1 - rho^2) evaluated as sqrt((1-rho)(1+rho)) to avoid cancellation
     # near the seam: g, g', g'' and h are within 2^-51 absolute at |rho| ~ 1.
     s = np.sqrt((1.0 - rs) * (1.0 + rs))
+    if order == 2:
+        return 4.0 * s / np.pi, 4.0 * s * s * s / (3.0 * np.pi)
     asin = np.arcsin(rs)
-    a = np.abs(rho)
-    g = np.where(a < 1.0, 2.0 * (rs * asin + s * (2.0 + rs * rs) / 3.0) / np.pi, a)
-    g1 = 2.0 * (asin + rs * s) / np.pi
-    g2 = 4.0 * s / np.pi
-    h = 4.0 * s * s * s / (3.0 * np.pi)
-    return g, g1, g2, h
+    if order == 1:
+        return 2.0 * (asin + rs * s) / np.pi, 4.0 * s * s * s / (3.0 * np.pi)
+    if order == 0:
+        a = np.abs(rho)
+        return np.where(a < 1.0, 2.0 * (rs * asin + s * (2.0 + rs * rs) / 3.0) / np.pi, a)
+    raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
 
 
 def std_normal_pdf(x):

@@ -32,13 +32,15 @@ Three model kinds are supported:
   The solve runs once per distinct w in a call, which is exact: each point
   stops on its own, so its result depends on its own w only.  An n x n lattice
   has 2n - 1 distinct w on midpoints, more on linspace nodes (1531 at n = 512).
+  The distinct w come from one sort: a flag where a sorted value differs from
+  its predecessor, whose running sum numbers the slots.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -114,6 +116,8 @@ class ProductRadius:
     p_coeffs: tuple
     q_coeffs: tuple
     epsilon: Optional[float] = None
+    # (p', q', p'', q'') coefficients, built once; not part of the model's identity
+    _derivs: tuple = field(init=False, compare=False, repr=False)
     kind = "product"
 
     def __post_init__(self):
@@ -125,6 +129,8 @@ class ProductRadius:
             object.__setattr__(self, name, coeffs)
         _sweep_positive(self.p_coeffs, "p(w)")
         _sweep_positive(self.q_coeffs, "q(z)")
+        derivs = tuple(npoly.polyder(c, m) for m in (1, 2) for c in (self.p_coeffs, self.q_coeffs))
+        object.__setattr__(self, "_derivs", derivs)
 
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
@@ -134,10 +140,11 @@ class ProductRadius:
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
         p = npoly.polyval(w, self.p_coeffs)
         q = npoly.polyval(z, self.q_coeffs)
-        p1 = npoly.polyval(w, npoly.polyder(self.p_coeffs))
-        q1 = npoly.polyval(z, npoly.polyder(self.q_coeffs))
-        p2 = npoly.polyval(w, npoly.polyder(self.p_coeffs, 2))
-        q2 = npoly.polyval(z, npoly.polyder(self.q_coeffs, 2))
+        dp1, dq1, dp2, dq2 = self._derivs
+        p1 = npoly.polyval(w, dp1)
+        q1 = npoly.polyval(z, dq1)
+        p2 = npoly.polyval(w, dp2)
+        q2 = npoly.polyval(z, dq2)
         return p * q, p1 * q, p * q1, p2 * q, p * q2
 
 
@@ -196,8 +203,16 @@ class GaussianBandRadius:
         """(distinct w, index scattering them back, x, y, r solved on them).
 
         -0.0 and 0.0 share a slot: both give the same results (np.sign is 0).
+        Each NaN takes a slot of its own, and gives NaN.
         """
-        wu, back = np.unique(w.ravel(), return_inverse=True)
+        flat = w.ravel()
+        order = np.argsort(flat)
+        ws = flat[order]
+        first = np.ones(ws.size, dtype=bool)
+        np.not_equal(ws[1:], ws[:-1], out=first[1:])
+        back = np.empty_like(order)
+        back[order] = np.cumsum(first) - 1
+        wu = ws[first]
         return wu, back, *self._solve(wu)
 
     def radius(self, w, z):

@@ -13,6 +13,13 @@ from fhsmooth.copulas import copula_values
 from fhsmooth.kernel import kernel_arrays
 
 
+def kernel_outputs(rho):
+    """(g, g', g'', h) at rho, assembled from kernel_arrays' three orders."""
+    g1, _ = kernel_arrays(rho, order=1)
+    g2, h = kernel_arrays(rho, order=2)
+    return kernel_arrays(rho, order=0), g1, g2, h
+
+
 def rectangle_volume(spec, u1, u2, v1, v2):
     """C-volume of [u1, u2] x [v1, v2] for u1 <= u2, v1 <= v2; nonnegative for every copula."""
     c = copula_values(spec, np.array([u2, u2, u1, u1]), np.array([v2, v1, v2, v1]))
@@ -23,7 +30,7 @@ def band_average(model, w, z, o):
     """B = r*g(t/r), the disc average of |t| in the frame of Orientation o."""
     t, _ = o.swap(w, z)
     r = model.radius(w, z)
-    return r * kernel_arrays(t / r)[0]
+    return r * kernel_outputs(t / r)[0]
 
 
 def band_average_second_partials(model, w, z, o, single_cross=False):
@@ -33,7 +40,7 @@ def band_average_second_partials(model, w, z, o, single_cross=False):
     r_t, r_n = o.swap(r_w, r_z)
     r_tt, r_nn = o.swap(r_ww, r_zz)
     rho = t / r
-    _, _, g2, h = kernel_arrays(rho)
+    _, _, g2, h = kernel_outputs(rho)
     if single_cross:
         b_tt = g2 * ((rho * r_t) ** 2 + 1.0 - rho * r_t) / r + h * r_tt
     else:

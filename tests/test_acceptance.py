@@ -24,7 +24,7 @@ import pytest
 
 from fhsmooth.checker import check_copula
 from fhsmooth.cli import main as cli_main
-from band_helpers import band_average, band_average_second_partials
+from band_helpers import band_average, band_average_second_partials, kernel_outputs
 from fhsmooth.copulas import (
     CopulaSpec,
     copula_density,
@@ -33,7 +33,6 @@ from fhsmooth.copulas import (
     smoothed_value,
 )
 from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DiamondPoint, SquarePoint, wz_to_uv
-from fhsmooth.kernel import kernel_arrays
 from fhsmooth.oracle import OracleRequest, disc_average, fd_second_partials
 from fhsmooth.radius import constant_radius, gaussian_band_radius, product_radius
 from fhsmooth.sampler import counter_uniforms, sample_batch, to_gaussian
@@ -71,7 +70,7 @@ def test_criterion_1_closed_forms_vs_oracle():
                 else DiamondPoint(offset, other)
             )
             got = disc_average(OracleRequest(integrand, center, radius, 1e-10))
-            want = radius * kernel_arrays(rho)[0]
+            want = radius * kernel_outputs(rho)[0]
             worst = max(worst, abs(got - want) / max(1.0, radius))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -230,7 +229,7 @@ def test_criterion_5_derivative_adjudication():
 def test_criterion_6_regularity_ceiling():
     seam_ok = True
     for eps in (1e-4, 1e-6):
-        (g_a, g1_a, g2_a, _), (g_b, g1_b, g2_b, _) = kernel_arrays(1 + eps), kernel_arrays(1 - eps)
+        (g_a, g1_a, g2_a, _), (g_b, g1_b, g2_b, _) = kernel_outputs(1 + eps), kernel_outputs(1 - eps)
         seam_ok &= abs(g_a - g_b) <= 5 * eps
         seam_ok &= abs(g1_a - g1_b) <= 5 * eps
         # g'' is Holder-1/2 at the seam (forced by the g''' blow-up), so the
@@ -239,7 +238,7 @@ def test_criterion_6_regularity_ceiling():
 
     s = 1e-4
     x = 1 - s
-    g = lambda rho: float(kernel_arrays(rho)[0])
+    g = lambda rho: float(kernel_outputs(rho)[0])
     g3 = (g(x + 2 * s) - 2 * g(x + s) + 2 * g(x - s) - g(x - 2 * s)) / (2 * s**3)
 
     spec = CopulaSpec("smoothed_upper", gaussian_band_radius(1.0))

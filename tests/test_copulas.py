@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from band_helpers import band_average_second_partials, rectangle_volume
+from band_helpers import band_average_second_partials, kernel_outputs, rectangle_volume
 from fhsmooth.copulas import (
     CopulaSpec,
     copula_density,
@@ -14,7 +14,6 @@ from fhsmooth.copulas import (
     smoothed_value,
 )
 from fhsmooth.geometry import SQRT2, Orientation, SquarePoint, uv_to_wz, wz_to_uv
-from fhsmooth.kernel import kernel_arrays
 from fhsmooth.radius import RadiusEvalError, constant_radius, gaussian_band_radius, product_radius
 
 G0 = 4.0 / (3.0 * math.pi)
@@ -224,7 +223,7 @@ def test_band_average_kernel_consistency():
     r = float(m.radius(w, z))
     value = float(copula_values(CopulaSpec("smoothed_upper", m), *wz_to_uv(w, z)))
     got = w - SQRT2 * (value - 0.5)
-    assert got == pytest.approx(r * kernel_arrays(z / r)[0], abs=1e-15)
+    assert got == pytest.approx(r * kernel_outputs(z / r)[0], abs=1e-15)
 
 
 def test_band_average_second_partials_variants_differ():

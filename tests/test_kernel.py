@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr as std_normal_cdf  # the library's Phi (radius.py)
 
+from band_helpers import kernel_outputs
 from fhsmooth.geometry import DomainError
 from fhsmooth.kernel import (
     kernel_arrays,
@@ -22,7 +23,7 @@ H_HALF = 0.2756644477108960
 
 def kernel_at(rho):
     """(g, g', g'', h) at one band coordinate, as floats."""
-    return tuple(float(x) for x in kernel_arrays(rho))
+    return tuple(float(x) for x in kernel_outputs(rho))
 
 
 def test_kernel_at_zero():
@@ -49,7 +50,7 @@ def test_kernel_at_half():
 def test_kernel_identities():
     rng = np.random.default_rng(3)
     rho = rng.uniform(-1.5, 1.5, 10_000)
-    g, g1, g2, h = kernel_arrays(rho)
+    g, g1, g2, h = kernel_outputs(rho)
     assert np.max(np.abs(h - (g - rho * g1))) <= 1e-14
     inside = np.abs(rho) < 1
     assert np.max(np.abs(h[inside] - (1 - rho[inside] ** 2) * g2[inside] / 3)) <= 1e-13
@@ -62,8 +63,8 @@ def test_kernel_identities():
 def test_kernel_parity():
     rng = np.random.default_rng(4)
     rho = rng.uniform(-2, 2, 10_000)
-    g_p, g1_p, g2_p, _ = kernel_arrays(rho)
-    g_m, g1_m, g2_m, _ = kernel_arrays(-rho)
+    g_p, g1_p, g2_p, _ = kernel_outputs(rho)
+    g_m, g1_m, g2_m, _ = kernel_outputs(-rho)
     assert np.max(np.abs(g_p - g_m)) <= 1e-15
     assert np.max(np.abs(g2_p - g2_m)) <= 1e-15
     assert np.max(np.abs(g1_p + g1_m)) <= 1e-15
@@ -95,7 +96,7 @@ def test_seam_matches_mpmath():
     # absolute (measured 2.2e-16, 2.2e-16, 5.6e-17 and 6.9e-18)
     eps = np.logspace(-16, -1, 400)
     rho = np.concatenate([1.0 - eps, eps - 1.0])
-    got = kernel_arrays(rho)
+    got = kernel_outputs(rho)
     worst = [0.0] * 4
     with mpmath.workdps(50):
         for i, x in enumerate(rho):
@@ -131,6 +132,45 @@ def test_kernel_edge_values():
     assert all(math.isnan(x) for x in kernel_at(math.nan))
 
 
+def four_output_kernel(rho):
+    """The single-call (g, g', g'', h) kernel that the three orders split up."""
+    rho = np.asarray(rho, dtype=float)
+    rs = np.clip(rho, -1.0, 1.0)
+    s = np.sqrt((1.0 - rs) * (1.0 + rs))
+    asin = np.arcsin(rs)
+    a = np.abs(rho)
+    g = np.where(a < 1.0, 2.0 * (rs * asin + s * (2.0 + rs * rs) / 3.0) / np.pi, a)
+    g1 = 2.0 * (asin + rs * s) / np.pi
+    g2 = 4.0 * s / np.pi
+    h = 4.0 * s * s * s / (3.0 * np.pi)
+    return g, g1, g2, h
+
+
+def same_bits(a, b):
+    """Equal bit patterns, sign of zero included; NaNs are compared as a pattern."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+def test_each_order_equals_the_four_output_kernel():
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    edges = np.array([0.0, 5e-324, below, 1.0, above, 1e300, math.inf])
+    rng = np.random.default_rng(12)
+    k = np.arange(1, 201)
+    near_one = np.concatenate([1.0 - k * 2.0**-53, [1.0], 1.0 + k * 2.0**-52])  # 200 ulps each side
+    rho = np.concatenate([edges, -edges, [math.nan], rng.uniform(-3.0, 3.0, 500_000),
+                          rng.standard_cauchy(500_000), near_one, -near_one])
+    g, g1, g2, h = four_output_kernel(rho)
+    order1, order2 = kernel_arrays(rho, order=1), kernel_arrays(rho, order=2)
+    for got, want in [(kernel_arrays(rho, order=0), g), (order1[0], g1), (order1[1], h),
+                      (order2[0], g2), (order2[1], h)]:
+        assert same_bits(got, want)
+    with pytest.raises(ValueError):
+        kernel_arrays(rho, order=3)
+    with pytest.raises(TypeError):
+        kernel_arrays(rho, 0)  # keyword-only: the tracer counts points on the positional rho
+
+
 def test_third_derivative_blows_up_at_seam():
     # centered third-difference estimate at rho = 1 - 10^-k, step 10^-k
     prev = 0.0
@@ -150,8 +190,8 @@ def test_finite_difference_matches_g1():
     rng = np.random.default_rng(5)
     rho = rng.uniform(-0.999, 0.999, 200)
     s = 1e-6
-    fd = (kernel_arrays(rho + s)[0] - kernel_arrays(rho - s)[0]) / (2 * s)
-    g1 = kernel_arrays(rho)[1]
+    fd = (kernel_outputs(rho + s)[0] - kernel_outputs(rho - s)[0]) / (2 * s)
+    g1 = kernel_outputs(rho)[1]
     assert np.max(np.abs(fd - g1) / np.maximum(np.abs(g1), 1e-3)) <= 1e-6
 
 
@@ -162,14 +202,14 @@ def test_finite_difference_matches_g2():
     rho = rng.uniform(-0.9, 0.9, 200)
     s = 1e-4
     fd2 = (
-        kernel_arrays(rho + s)[0] - 2 * kernel_arrays(rho)[0] + kernel_arrays(rho - s)[0]
+        kernel_outputs(rho + s)[0] - 2 * kernel_outputs(rho)[0] + kernel_outputs(rho - s)[0]
     ) / (s * s)
-    g2 = kernel_arrays(rho)[2]
+    g2 = kernel_outputs(rho)[2]
     assert np.max(np.abs(fd2 - g2) / np.abs(g2)) <= 1e-6
     rho = rng.uniform(-0.999, 0.999, 200)
     s = 5e-7
-    fd = (kernel_arrays(rho + s)[1] - kernel_arrays(rho - s)[1]) / (2 * s)
-    g2 = kernel_arrays(rho)[2]
+    fd = (kernel_outputs(rho + s)[1] - kernel_outputs(rho - s)[1]) / (2 * s)
+    g2 = kernel_outputs(rho)[2]
     assert np.max(np.abs(fd - g2) / np.maximum(np.abs(g2), 1e-3)) <= 1e-6
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fhsmooth.copulas import CopulaSpec, smoothed_value
-from band_helpers import band_average, band_average_second_partials
+from band_helpers import band_average, band_average_second_partials, kernel_outputs
 from fhsmooth.geometry import SQRT2, DiamondPoint, Orientation, SquarePoint, wz_to_uv
-from fhsmooth.kernel import kernel_arrays
 from fhsmooth.oracle import OracleRequest, disc_average, fd_second_partials
 from fhsmooth.radius import constant_radius, gaussian_band_radius, product_radius
 
@@ -45,7 +44,7 @@ def test_disc_average_matches_kernel_closed_form():
         z = rho * radius
         w = rng.uniform(-0.3, 0.3)
         got = disc_average(OracleRequest("abs_z", DiamondPoint(w, z), radius, 1e-10))
-        want = radius * kernel_arrays(rho)[0]
+        want = radius * kernel_outputs(rho)[0]
         assert abs(got - want) <= 1e-8 * max(1.0, radius)
 
 

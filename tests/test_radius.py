@@ -5,6 +5,7 @@ from collections import namedtuple
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from fhsmooth.checker import _MASS_NODES
 from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DomainError, Orientation, uv_to_wz
@@ -53,6 +54,27 @@ def test_product_jet_by_hand():
     assert jet.r_z == pytest.approx(0.25 * 0.3 * SQRT2, abs=1e-15)
     assert jet.r_ww == pytest.approx(-0.4, abs=1e-15)
     assert jet.r_zz == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "product", "p": [0.25, 0.0, -0.2], "epsilon": 0.3},
+    {"kind": "product", "p": [1.0], "q": [0.25, 0.0, -0.5]},
+    {"kind": "product", "p": [0.6, 0.1, -1.0, 0.05], "q": [1.0, -0.3, 0.2]},
+])
+def test_product_derivatives_built_once(spec):
+    # the derivative coefficients built at construction are no part of the
+    # model's identity, and give the jet of per-call polyder bit for bit
+    m, twin = model_from_json(spec), model_from_json(spec)
+    assert m == twin and hash(m) == hash(twin) == hash((m.p_coeffs, m.q_coeffs, m.epsilon))
+    assert repr(m) == f"ProductRadius(p_coeffs={m.p_coeffs!r}, q_coeffs={m.q_coeffs!r}, epsilon={m.epsilon!r})"
+    assert model_to_json(m) == spec
+    rng = np.random.default_rng(11)
+    w, z = rng.uniform(-L, L, (2, 500))
+    p, q = npoly.polyval(w, m.p_coeffs), npoly.polyval(z, m.q_coeffs)
+    p1, p2 = (npoly.polyval(w, npoly.polyder(m.p_coeffs, k)) for k in (1, 2))
+    q1, q2 = (npoly.polyval(z, npoly.polyder(m.q_coeffs, k)) for k in (1, 2))
+    want = [p * q, p1 * q, p * q1, p2 * q, p * q2]
+    assert bits(m.jet(w, z)).tolist() == bits(want).tolist()
 
 
 def test_gaussian_jet_at_center():
@@ -302,6 +324,28 @@ def test_gaussian_solve_once_per_distinct_w_is_exact(d):
     for i, j in np.ndindex(w.shape):
         one = [m.radius(w[i, j], z[i, j]), *m.jet(w[i, j], z[i, j])]
         assert bits(one).tolist() == bits([a[i, j] for a in batch]).tolist(), (w[i, j], z[i, j])
+
+
+def distinct_w_inputs():
+    xs = np.linspace(0.0, 1.0, 512)  # check_copula's value lattice at 512
+    lattice = uv_to_wz(*np.meshgrid(xs, xs, indexing="ij"))[0].ravel()[: 2**15]
+    sampled = np.random.default_rng(5).uniform(-L, L, 2000)
+    repeats = np.array([0.3, -0.0, 0.1, 0.3, math.nan, 0.0, -0.2, 0.1, -math.nan, 0.3, -0.0])
+    return {"lattice": lattice, "sampled": sampled, "repeats": repeats}
+
+
+@pytest.mark.parametrize("case", ["lattice", "sampled", "repeats"])
+def test_gaussian_distinct_w_contract(case):
+    w = distinct_w_inputs()[case]
+    wu, back, x, y, r = gaussian_band_radius(1.0)._solve_distinct(w)
+    finite = ~np.isnan(wu)
+    # NaNs sort last, each in a slot of its own; the rest strictly increase
+    assert np.all(np.diff(wu[finite]) > 0) and not np.any(np.isnan(wu[: finite.sum()]))
+    assert np.array_equal(wu[back], w, equal_nan=True)  # -0.0 == 0.0
+    assert np.array_equal(np.isnan(wu[back]), np.isnan(w))
+    assert (~finite).sum() == np.isnan(w).sum()
+    assert np.unique(w[~np.isnan(w)]).size == finite.sum()
+    assert x.shape == y.shape == r.shape == wu.shape
 
 
 def test_json_round_trip():
