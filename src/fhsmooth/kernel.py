@@ -34,24 +34,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def kernel_arrays(rho, *, order):
-    """Vectorized evaluation of the kernel outputs that one copula output reads.
+    """The kernel outputs that one copula output reads, on an array of rho.
 
-    Parameters
-    ----------
-    rho : array_like
-        Band coordinates; any values.  A NaN gives NaN in every output.
-    order : {0, 1, 2}
-        The derivative of g wanted: 0 for the values, 1 for the partials,
-        2 for the density.
-
-    Returns
-    -------
-    g : ndarray
-        For order 0.
-    g1, h : ndarray
-        For order 1: first derivative and the auxiliary function.
-    g2, h : ndarray
-        For order 2: second derivative and the auxiliary function; no arcsin.
+    ``order`` 0 gives g, 1 gives (g', h) and 2 gives (g'', h).  Any rho is
+    accepted; a NaN gives NaN in every output.
     """
     rho = np.asarray(rho, dtype=float)
     # at |rs| = 1 the formulas give g' = sign(rho), g'' = 0 and h = 0 exactly

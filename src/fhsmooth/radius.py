@@ -38,9 +38,10 @@ Three model kinds are supported:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -116,8 +117,6 @@ class ProductRadius:
     p_coeffs: tuple
     q_coeffs: tuple
     epsilon: Optional[float] = None
-    # (p', q', p'', q'') coefficients, built once; not part of the model's identity
-    _derivs: tuple = field(init=False, compare=False, repr=False)
     kind = "product"
 
     def __post_init__(self):
@@ -129,8 +128,12 @@ class ProductRadius:
             object.__setattr__(self, name, coeffs)
         _sweep_positive(self.p_coeffs, "p(w)")
         _sweep_positive(self.q_coeffs, "q(z)")
-        derivs = tuple(npoly.polyder(c, m) for m in (1, 2) for c in (self.p_coeffs, self.q_coeffs))
-        object.__setattr__(self, "_derivs", derivs)
+
+    @functools.cached_property
+    def _derivs(self):
+        """(p', q', p'', q'') coefficients, built at the first jet, not at construction:
+        a model parsed for one value never needs them.  Not part of the model's identity."""
+        return tuple(npoly.polyder(c, m) for m in (1, 2) for c in (self.p_coeffs, self.q_coeffs))
 
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))

@@ -62,9 +62,12 @@ def test_product_jet_by_hand():
     {"kind": "product", "p": [0.6, 0.1, -1.0, 0.05], "q": [1.0, -0.3, 0.2]},
 ])
 def test_product_derivatives_built_once(spec):
-    # the derivative coefficients built at construction are no part of the
-    # model's identity, and give the jet of per-call polyder bit for bit
+    # the derivative coefficients are built at the first jet, not at
+    # construction, are no part of the model's identity, and give the jet of
+    # per-call polyder bit for bit
     m, twin = model_from_json(spec), model_from_json(spec)
+    twin.jet(0.0, 0.0)
+    assert "_derivs" not in vars(m) and "_derivs" in vars(twin)
     assert m == twin and hash(m) == hash(twin) == hash((m.p_coeffs, m.q_coeffs, m.epsilon))
     assert repr(m) == f"ProductRadius(p_coeffs={m.p_coeffs!r}, q_coeffs={m.q_coeffs!r}, epsilon={m.epsilon!r})"
     assert model_to_json(m) == spec
