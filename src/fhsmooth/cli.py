@@ -3,7 +3,7 @@
 Copula names: w, m (the sharp lower/upper bounds) and wbar, mbar (their
 disc-averaged versions; these require --radius with a model JSON, inline
 or as a file path).  Exit codes: 0 success or pass, 1 validation/check
-fail, 2 usage error.
+fail, 2 usage, input or file error.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .checker import check_copula
-from .copulas import CopulaSpec, copula_density, copula_values, smoothed_value
-from .geometry import DomainError, SquarePoint
-from .radius import ModelSpecError, RadiusEvalError, model_from_json, support_band
+# smoothed_value is unused here, but perfbench's tracer wraps cli.smoothed_value
+from .copulas import CopulaSpec, copula_density, copula_values, smoothed_value  # noqa: F401
+from .geometry import SquarePoint
+from .radius import RadiusEvalError, model_from_json, support_band
 from .sampler import InvalidModelError, sample_batch, to_gaussian
 from .serialize import csv_text, format_float, json_text, write_output
 from .validator import validate_model
@@ -110,10 +111,7 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "eval":
         point = SquarePoint(args.u, args.v)
-        if spec.smoothed:
-            value = smoothed_value(spec, point)
-        else:
-            value = float(copula_values(spec, point.u, point.v))
+        value = float(copula_values(spec, point.u, point.v))
         write_output(format_float(value), args.out)
         return 0
 
@@ -182,7 +180,7 @@ def main(argv=None) -> int:
     except InvalidModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, ModelSpecError, RadiusEvalError, ValueError) as exc:
+    except (RadiusEvalError, ValueError, OSError) as exc:  # ValueError: DomainError, ModelSpecError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,14 +22,13 @@ the sharp bound's values where |rho| >= 1, so each formula below is a
 single branch-free expression.  The density follows from the derivative
 transform d^2/du dv = (d^2/dw^2 - d^2/dz^2)/2.
 
-The spec's ``Orientation`` (geometry) is the band frame: it maps the
-model's (w, z) jet to (t, n) and back, so each formula is written once for
-both bounds.  All three array functions start from one prelude, which also
-holds the rule for points where r is not a positive number: values fall
-back to the sharp bound on the diamond's boundary (its continuous
-extension there), as they do where r there is a rounding residue of at
-most 1e-12, and raise RadiusEvalError inside; partials and density
-raise wherever it happens, and also at the two corners of the singular
+The spec's ``Orientation`` (geometry) is the band frame: its ``band_jet``
+gives the model's jet in (t, n) order, so each formula is written once for
+both bounds.  Where r is not a positive number, values fall back to the
+sharp bound on the diamond's boundary (its continuous extension there), as
+they do where r there is a rounding residue of at most 1e-12, and raise
+RadiusEvalError inside.  Partials and density share one jet prelude, which
+raises wherever it happens, and also at the two corners of the singular
 axis, where an admissible r is 0 whatever a model's rounding gives.
 
 Calls over 2**15 points run in 2**15-point blocks: same bits, bounded memory.
@@ -79,42 +78,28 @@ class CopulaSpec:
         return orientation_for_family(self.family)
 
 
-def _prelude(spec: CopulaSpec, u, v, jet: bool):
-    """Frame, radius (or jet in (t, n) order) and rho = t/r on arrays of (u, v).
+def _raise_undefined(stuck, u, v):
+    idx = tuple(np.argwhere(stuck)[0])
+    raise RadiusEvalError(f"radius undefined at u={float(u[idx])!r}, v={float(v[idx])!r}")
 
-    Where r is not a positive number, for a jet at a corner of the singular
-    axis, or for a radius of at most _BOUNDARY_TOL on the diamond's boundary,
-    rho uses r = 1 and ``good`` is False.  That raises
-    RadiusEvalError for a jet, and for a radius away from the diamond's
-    boundary, where the caller has no value to fall back to.
+
+def _jet_prelude(spec: CopulaSpec, u, v):
+    """rho = t/r and the model's band jet (r, r_t, r_n, r_tt, r_nn) on arrays of (u, v).
+
+    Raises RadiusEvalError where r is not a positive number, and at the
+    corners of the singular axis (t = 0 on the diamond's boundary), where an
+    admissible r is 0 and a rounding residue (p(1/sqrt(2)) ~ 1e-16) is no radius.
     """
     _require_smoothed(spec)
     w, z = uv_to_wz(u, v)
-    o = spec.orientation
-    if jet:
-        r, r_w, r_z, r_ww, r_zz = spec.model.jet(w, z)
-        derivs = (*o.swap(r_w, r_z), *o.swap(r_ww, r_zz))
-    else:
-        r, derivs = spec.model.radius(w, z), ()
-    t = o.swap(w, z)[0]
+    jet = spec.orientation.band_jet(spec.model, w, z)
+    r, t = jet[0], spec.orientation.swap(w, z)[0]
     good = np.isfinite(r) & (r > 0)
-    # an admissible r is 0 at the corners of the singular axis (t = 0 on the
-    # boundary); a rounding residue there (p(1/sqrt(2)) ~ 1e-16) is no radius.
-    # Values key this on r itself, so an inadmissible model's corner r still counts
-    if jet and not np.all(t):
+    if not np.all(t):
         good &= (t != 0) | (diamond_margin(w, z) > _BOUNDARY_TOL)
-    elif not jet and np.any(r <= _BOUNDARY_TOL):
-        good &= (r > _BOUNDARY_TOL) | (diamond_margin(w, z) > _BOUNDARY_TOL)
     if not good.all():
-        stuck = ~good if jet else ~good & (diamond_margin(w, z) > _BOUNDARY_TOL)
-        if stuck.any():
-            idx = tuple(np.argwhere(stuck)[0])
-            raise RadiusEvalError(
-                f"radius undefined at u={float(u[idx])!r}, v={float(v[idx])!r}"
-            )
-        r = np.where(good, r, 1.0)
-    rho = t / r
-    return w, good, r, rho, derivs
+        _raise_undefined(~good, u, v)
+    return t / r, jet
 
 
 def _blocked(fn):
@@ -140,23 +125,35 @@ def copula_values(spec: CopulaSpec, u, v):
     (e.g. the gaussian band at the two corners on the singular axis) the
     value is the continuous extension, which there equals the sharp bound.
     """
+    o = spec.orientation
     if not spec.smoothed:
-        return spec.orientation.fh_values(u, v)
-    w, good, r, rho, _ = _prelude(spec, u, v, jet=False)
-    band = r * kernel_arrays(rho, order=0)
-    if spec.orientation is Orientation.LOWER_W:
+        return o.fh_values(u, v)
+    w, z = uv_to_wz(u, v)
+    r = spec.model.radius(w, z)
+    good = np.isfinite(r) & (r > _BOUNDARY_TOL)
+    if not good.all():
+        # on the boundary a radius of at most _BOUNDARY_TOL is a rounding residue
+        # of an admissible 0; keyed on r, so an inadmissible corner r still counts
+        inside = diamond_margin(w, z) > _BOUNDARY_TOL
+        good |= inside & np.isfinite(r) & (r > 0)
+        stuck = ~good & inside
+        if stuck.any():
+            _raise_undefined(stuck, u, v)
+        r = np.where(good, r, 1.0)
+    band = r * kernel_arrays(o.swap(w, z)[0] / r, order=0)
+    if o is Orientation.LOWER_W:
         val = (w + band) / SQRT2
     else:
         val = 0.5 + (w - band) / SQRT2
     if not good.all():
-        val = np.where(good, val, spec.orientation.fh_values(u, v))
+        val = np.where(good, val, o.fh_values(u, v))
     return val
 
 
 @_blocked
 def copula_partials(spec: CopulaSpec, u, v):
     """First partials (dC/du, dC/dv) of a smoothed copula on arrays."""
-    _, _, r, rho, (r_t, r_n, _, _) = _prelude(spec, u, v, jet=True)
+    rho, (_, r_t, r_n, _, _) = _jet_prelude(spec, u, v)
     g1, h = kernel_arrays(rho, order=1)
     b_t, b_n = h * r_t + g1, h * r_n
     if spec.orientation is Orientation.LOWER_W:
@@ -169,7 +166,7 @@ def copula_partials(spec: CopulaSpec, u, v):
 @_blocked
 def copula_density(spec: CopulaSpec, u, v):
     """Density of a smoothed copula on arrays; identically 0 where |rho| >= 1."""
-    _, _, r, rho, (r_t, r_n, r_tt, r_nn) = _prelude(spec, u, v, jet=True)
+    rho, (r, r_t, r_n, r_tt, r_nn) = _jet_prelude(spec, u, v)
     g2, h = kernel_arrays(rho, order=2)
     b_tt = g2 * (1.0 - rho * r_t) ** 2 / r + h * r_tt
     b_nn = g2 * (rho * r_n) ** 2 / r + h * r_nn

@@ -65,7 +65,10 @@ class DiamondPoint:
 
 
 class Orientation(enum.Enum):
-    """The band frame: which bound is smoothed, and so which axis carries the band."""
+    """The band frame: which bound is smoothed, and so which axis carries the band.
+
+    ``band_jet`` is the one place a radius model's jet is put in (t, n) order.
+    """
 
     UPPER_M = "upper_M"
     LOWER_W = "lower_W"
@@ -73,6 +76,11 @@ class Orientation(enum.Enum):
     def swap(self, a, b):
         """Map a (w, z) pair to (t, n), or (t, n) back to (w, z): its own inverse."""
         return (b, a) if self is Orientation.UPPER_M else (a, b)
+
+    def band_jet(self, model, w, z):
+        """The model's jet at (w, z) in band order: (r, r_t, r_n, r_tt, r_nn)."""
+        r, r_w, r_z, r_ww, r_zz = model.jet(w, z)
+        return (r, *self.swap(r_w, r_z), *self.swap(r_ww, r_zz))
 
     def fh_values(self, u, v):
         """The sharp bound itself: min(u, v) for M, max(u + v - 1, 0) for W."""

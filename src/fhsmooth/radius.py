@@ -270,8 +270,7 @@ def band_edges(model, o: Orientation, s):
     hi = DIAMOND_RADIUS - np.abs(ss)
     tau = lo.copy()
     for _ in range(_BAND_ITERS):
-        r, r_w, r_z, _, _ = model.jet(*o.swap(sign * tau, ss))
-        r_t = o.swap(r_w, r_z)[0]
+        r, r_t, _, _, _ = o.band_jet(model, *o.swap(sign * tau, ss))
         f = tau - r
         done = (np.abs(f) <= _BAND_TOL) | (hi - lo <= _BAND_TOL)
         if np.all(done):

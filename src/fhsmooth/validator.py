@@ -10,8 +10,8 @@ Three gates, evaluated on grids:
       a = r_t^2 - r_n^2 - D,  b = -2*r_t,  c = 1 + D,
       D = r*(r_tt - r_nn)/3,
 
-  where t is the band coordinate and n the transverse one, as the
-  ``Orientation`` frame (geometry) maps them from the model's (w, z) jet;
+  where t is the band coordinate and n the transverse one, as
+  ``Orientation.band_jet`` (geometry) maps them from the model's (w, z) jet;
 * boundary containment: |t| >= r on the boundary of the diamond, which is
   what makes the averaged bound coincide with the sharp bound there and
   keeps the marginals uniform.
@@ -62,9 +62,7 @@ class ValidationReport:
         return {**asdict(self), "verdict": self.verdict}
 
 
-def _quad_coeffs(o: Orientation, r, r_w, r_z, r_ww, r_zz):
-    r_t, r_n = o.swap(r_w, r_z)
-    r_tt, r_nn = o.swap(r_ww, r_zz)
+def _quad_coeffs(r, r_t, r_n, r_tt, r_nn):
     d_term = r * (r_tt - r_nn) / 3.0
     a = r_t * r_t - r_n * r_n - d_term
     b = -2.0 * r_t
@@ -81,9 +79,7 @@ def _quad_min(a, b, c):
     return np.where(has_vertex, np.minimum(m, vertex), m)
 
 
-def _paper_conditions(o: Orientation, r_w, r_z, r_ww, r_zz):
-    r_t, r_n = o.swap(r_w, r_z)
-    r_tt, r_nn = o.swap(r_ww, r_zz)
+def _paper_conditions(r_t, r_n, r_tt, r_nn):
     cond1 = r_n * r_n <= (0.5 - np.abs(r_t)) ** 2 + 0.75
     cond2 = r_nn <= r_tt
     return cond1 & cond2
@@ -122,17 +118,17 @@ def validate_model(model, o: Orientation, grid_n: int) -> ValidationReport:
     mids = (np.arange(grid_n) + 0.5) / grid_n
     uu, vv = np.meshgrid(mids, mids, indexing="ij")
     w, z = uv_to_wz(uu.ravel(), vv.ravel())
-    r, r_w, r_z, r_ww, r_zz = model.jet(w, z)
+    r, r_t, r_n, r_tt, r_nn = o.band_jet(model, w, z)
 
     positivity_pass = bool(np.all(np.isfinite(r)) and np.all(r > 0))
 
-    a, b, c = _quad_coeffs(o, r, r_w, r_z, r_ww, r_zz)
+    a, b, c = _quad_coeffs(r, r_t, r_n, r_tt, r_nn)
     margins = _quad_min(a, b, c)
     qi = int(np.argmin(margins))
     quad_worst = float(margins[qi])
     quadratic_pass = bool(quad_worst >= _QUAD_TOL)
 
-    paper_sufficient_pass = bool(np.all(_paper_conditions(o, r_w, r_z, r_ww, r_zz)))
+    paper_sufficient_pass = bool(np.all(_paper_conditions(r_t, r_n, r_tt, r_nn)))
 
     containment = containment_check(model, o, 4 * grid_n)
 

@@ -180,6 +180,20 @@ def test_usage_errors(capsys):
     for u in ("0", "1"):
         assert run(capsys, "density", "--copula", "mbar", "--radius", upper,
                    "--u", u, "--v", u)[0] == 2
+    for argv in (("grid", "--copula", "m", "--grid-n", "0"), ("validate", "--copula", "m"),
+                 ("sample", "--copula", "w", "--n", "5")):
+        assert run(capsys, *argv)[:2] == (2, "")
+
+
+def test_file_errors_exit_two(capsys, tmp_path):
+    # an unreadable --radius path and an --out in a missing directory are
+    # input errors (2), reported on stderr, not a traceback or a failed check (1)
+    point = ("--u", "0.5", "--v", "0.5")
+    for argv in (("--radius", str(tmp_path)),
+                 ("--radius", GAUSS_JSON, "--out", str(tmp_path / "no" / "such" / "x.txt"))):
+        code, out, err = run(capsys, "eval", "--copula", "mbar", *argv, *point)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_sample_rejects_invalid_model(capsys):

@@ -1,4 +1,5 @@
-"""Hypothesis properties: the model JSON round trip and rectangle volumes."""
+"""Hypothesis properties: the model JSON round trip, rectangle volumes, and the
+closed forms against the disc-average oracle and against finite differences."""
 
 import json
 
@@ -7,7 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from band_helpers import rectangle_volume
-from fhsmooth.copulas import CopulaSpec
+from fhsmooth.copulas import CopulaSpec, copula_partials, copula_values
+from fhsmooth.geometry import DiamondPoint, uv_to_wz
+from fhsmooth.oracle import OracleRequest, disc_average
 from fhsmooth.radius import (
     constant_radius,
     gaussian_band_radius,
@@ -61,3 +64,25 @@ def test_rectangle_volume_nonnegative(spec, u, v, du, dv):
     assume(validate_model(spec.model, spec.orientation, 64).verdict)
     u1, v1 = min(u, 1.0 - du), min(v, 1.0 - dv)
     assert rectangle_volume(spec, u1, u1 + du, v1, v1 + dv) >= -1e-12
+
+
+inner = st.floats(0.02, 0.98)
+
+
+@given(candidates, inner, inner)
+def test_values_match_disc_average(spec, u, v):
+    assume(validate_model(spec.model, spec.orientation, 64).verdict)
+    w, z = (float(x) for x in uv_to_wz(u, v))
+    sharp = spec.family.replace("smoothed", "fh")
+    want = disc_average(OracleRequest(sharp, DiamondPoint(w, z), float(spec.model.radius(w, z)), 1e-10))
+    assert abs(float(copula_values(spec, u, v)) - want) <= 1e-12
+
+
+@given(candidates, inner, inner)
+def test_partials_match_central_differences(spec, u, v):
+    assume(validate_model(spec.model, spec.orientation, 64).verdict)
+    step = 1e-6
+    c = copula_values(spec, [u + step, u - step, u, u], [v, v, v + step, v - step])
+    du, dv = copula_partials(spec, u, v)
+    assert abs((c[0] - c[1]) / (2 * step) - du) <= 1e-7
+    assert abs((c[2] - c[3]) / (2 * step) - dv) <= 1e-7

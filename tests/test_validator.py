@@ -25,10 +25,11 @@ LOW = Orientation.LOWER_W
 
 def certify(jet, o):
     """validate_model's quadratic gate and paper conditions at one jet (r, r_w, r_z, r_ww, r_zz)."""
-    a, b, c = (float(x) for x in _quad_coeffs(o, *jet))
+    band = o.band_jet(SimpleNamespace(jet=lambda w, z: jet), 0.0, 0.0)
+    a, b, c = (float(x) for x in _quad_coeffs(*band))
     m = float(_quad_min(a, b, c))
     return SimpleNamespace(a=a, b=b, c=c, min_value_on_unit_interval=m, passed=m >= _QUAD_TOL,
-                           paper_condition_pass=bool(_paper_conditions(o, *jet[1:])))
+                           paper_condition_pass=bool(_paper_conditions(*band[1:])))
 
 
 def test_certificate_constant():
@@ -170,17 +171,17 @@ def test_validate_jet_sees_the_whole_lattice(grid_n):
 
 @pytest.mark.parametrize("d", [0.05, 0.5, 1.0, 5.0])
 def test_gaussian_band_margin_is_one_minus_slope_squared(d):
-    # in UPPER_M the gaussian band has r_t = r_tt = 0, so b = 0 and
-    # a = -r_w^2 + r*r_ww/3 <= 0: the minimum over [-1, 1] is the endpoint
-    # value a + c = 1 - r'(w)^2 > 0, and the lattice verdict is exact
+    # in UPPER_M the gaussian band has r_t = r_tt = 0 and r_n = r'(w), so
+    # b = 0 and a = -r_n^2 + r*r_nn/3 <= 0: the minimum over [-1, 1] is the
+    # endpoint value a + c = 1 - r_n^2 > 0, and the lattice verdict is exact
     model = gaussian_band_radius(d)
     mids = (np.arange(256) + 0.5) / 256
     uu, vv = np.meshgrid(mids, mids, indexing="ij")
-    r, r_w, r_z, r_ww, r_zz = model.jet(*uv_to_wz(uu.ravel(), vv.ravel()))
-    a, b, c = _quad_coeffs(UP, r, r_w, r_z, r_ww, r_zz)
+    r, r_t, r_n, r_tt, r_nn = UP.band_jet(model, *uv_to_wz(uu.ravel(), vv.ravel()))
+    a, b, c = _quad_coeffs(r, r_t, r_n, r_tt, r_nn)
     assert np.all(b == 0.0) and np.all(a <= 0.0)
     margins = _quad_min(a, b, c)
-    assert np.max(np.abs(margins - (1.0 - r_w * r_w))) <= 4e-15
+    assert np.max(np.abs(margins - (1.0 - r_n * r_n))) <= 4e-15
     assert np.min(margins) > 0.0
     assert validate_model(model, UP, 256).verdict
 
