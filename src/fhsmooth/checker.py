@@ -6,6 +6,12 @@ cell, density nonnegativity and normalization (smoothed families only;
 the sharp bounds are singular and skip the density clauses), and the
 ordering between the sharp bounds.
 
+The lattices are walked in blocks of whole rows, at most 2**15 points each
+(``copulas.row_blocks``), each reduced to running results: the boundary rows
+and columns, the least cell volume (each block's last row carried across the
+seam), the ordering flags and the least density.  The report is the one a
+single pass over the whole lattice gives: same bits, bounded memory.
+
 Nonnegativity is scanned at the lattice cell midpoints.  Normalization
 integrates the density itself with a band-adapted Gauss-Legendre rule
 rather than on the lattice: boundary containment forces r -> 0 at the two
@@ -28,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .copulas import CopulaSpec, copula_density, copula_values
+from .copulas import CopulaSpec, copula_density, copula_values, row_blocks
 from .geometry import DIAMOND_RADIUS, Orientation, wz_to_uv
 from .radius import band_edges
 
@@ -76,34 +82,42 @@ def check_copula(spec: CopulaSpec, grid_n: int) -> CopulaCheckReport:
     if grid_n < 32:
         raise ValueError(f"grid_n must be >= 32, got {grid_n!r}")
     xs = np.linspace(0.0, 1.0, grid_n)
-    uu, vv = np.meshgrid(xs, xs, indexing="ij")
-    c = copula_values(spec, uu, vv)
+    first_row = last_row = None
+    edge_cols, volume_mins = [], []  # per row block: its C(u, 0) and C(u, 1); its least cell volume
+    frechet_ok = True
+    for rows in row_blocks(grid_n, grid_n):
+        u = xs[rows, None]
+        c = copula_values(spec, u, xs)
+        frechet_ok &= bool(
+            np.all(c >= Orientation.LOWER_W.fh_values(u, xs) - _FRECHET_SLACK)
+            and np.all(c <= Orientation.UPPER_M.fh_values(u, xs) + _FRECHET_SLACK)
+        )
+        edge_cols.append(c[:, [0, -1]])
+        if first_row is None:
+            first_row = c[0]
+        else:
+            c = np.concatenate([last_row[None, :], c])  # the cells across the seam
+        if len(c) > 1:
+            volume_mins.append(np.min(c[1:, 1:] - c[1:, :-1] - c[:-1, 1:] + c[:-1, :-1]))
+        last_row = c[-1]
+    edges = np.concatenate(edge_cols)
 
     boundary_max_err = float(
         max(
-            np.max(np.abs(c[0, :])),            # C(0, v) = 0
-            np.max(np.abs(c[:, 0])),            # C(u, 0) = 0
-            np.max(np.abs(c[-1, :] - xs)),      # C(1, v) = v
-            np.max(np.abs(c[:, -1] - xs)),      # C(u, 1) = u
+            np.max(np.abs(first_row)),          # C(0, v) = 0
+            np.max(np.abs(edges[:, 0])),        # C(u, 0) = 0
+            np.max(np.abs(last_row - xs)),      # C(1, v) = v
+            np.max(np.abs(edges[:, 1] - xs)),   # C(u, 1) = u
         )
     )
-
-    volumes = c[1:, 1:] - c[1:, :-1] - c[:-1, 1:] + c[:-1, :-1]
-    min_volume = float(np.min(volumes))
-
-    lower = Orientation.LOWER_W.fh_values(uu, vv)
-    upper = Orientation.UPPER_M.fh_values(uu, vv)
-    frechet_ok = bool(
-        np.all(c >= lower - _FRECHET_SLACK) and np.all(c <= upper + _FRECHET_SLACK)
-    )
+    min_volume = float(np.min(volume_mins))
 
     min_density = None
     density_integral = None
     if spec.smoothed:
         mids = 0.5 * (xs[:-1] + xs[1:])
-        mu, mv = np.meshgrid(mids, mids, indexing="ij")
-        dens = copula_density(spec, mu, mv)
-        min_density = float(np.min(dens))
+        blocks = row_blocks(grid_n - 1, grid_n - 1)
+        min_density = float(np.min([np.min(copula_density(spec, mids[rows, None], mids)) for rows in blocks]))
         density_integral = _density_mass(spec)
 
     verdict = (

@@ -32,6 +32,8 @@ raises wherever it happens, and also at the two corners of the singular
 axis, where an admissible r is 0 whatever a model's rounding gives.
 
 Calls over 2**15 points run in 2**15-point blocks: same bits, bounded memory.
+``row_blocks`` cuts a lattice into blocks of whole rows of the same size,
+for the validator's and the checker's lattice passes.
 """
 
 from __future__ import annotations
@@ -115,6 +117,15 @@ def _blocked(fn):
         return tuple(map(join, zip(*parts))) if isinstance(parts[0], tuple) else join(parts)
 
     return blocked
+
+
+def row_blocks(n_rows: int, n_cols: int):
+    """Row slices of an n_rows x n_cols lattice, whole rows and at most _BLOCK points each.
+
+    A row longer than _BLOCK makes a block of its own.
+    """
+    step = max(1, _BLOCK // n_cols)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 @_blocked

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import CopulaSpec, copula_partials
+from .geometry import DomainError
 from .kernel import std_normal_quantile
 from .validator import validate_model
 
@@ -85,16 +86,27 @@ def conditional_inverse(spec: CopulaSpec, u, t):
     """Solve dC/du(u, v) = t for v by Chandrupatla's method (vectorized).
 
     f(v) = dC/du(u, v) - t has the known end values f(0) = -t and
-    f(1) = 1 - t, so neither end of the bracket [0, 1] is evaluated.  Each
+    f(1) = 1 - t, so neither end of the bracket [0, 1] is evaluated; at
+    t = 0 and t = 1 that end is the root, returned with no evaluation.  Each
     step evaluates f only at the pairs still running; a pair is retired
     once |f| reaches the rounding level of dC/du or its bracket is a few
     ulp wide, so its result depends on its own (u, t) only.
+
+    Raises
+    ------
+    DomainError
+        If any u or t is NaN or outside [0, 1].
     """
     u, t = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(t, dtype=float))
+    if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((t >= 0.0) & (t <= 1.0))):
+        raise DomainError("conditional_inverse requires u and t in [0, 1]")
     shape = u.shape
     u, t = u.ravel(), t.ravel()
-    v = np.empty(u.size)
-    run = np.arange(u.size)
+    # f(0) = -t is -0.0 at t = 0, which the bracket's sign test below would
+    # count as f >= 0: retire both ends' roots before the first step
+    v = np.where(t == 1.0, 1.0, 0.0)
+    run = np.flatnonzero((t > 0.0) & (t < 1.0))
+    u, t = u[run], t[run]
     # dC/du carries about one ulp of 1 of rounding, so |f| <= eps is a root;
     # not where t itself is that close to 0 or 1, or a point outside the
     # band, where dC/du is exactly 0 or 1, would pass
@@ -103,7 +115,7 @@ def conditional_inverse(spec: CopulaSpec, u, t):
     b, fb = np.ones(u.size), 1.0 - t
     c, fc = b, fb
     frac = np.full(u.size, 0.5)
-    for step in range(_MAX_STEPS):
+    for step in range(_MAX_STEPS if run.size else 0):
         x = a + frac * (b - a)
         fx = copula_partials(spec, u, x)[0] - t
         # [a, b] keeps f < 0 at one end and f >= 0 at the other, with a the

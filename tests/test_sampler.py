@@ -5,7 +5,7 @@ import pytest
 
 import fhsmooth.sampler as sampler
 from fhsmooth.copulas import CopulaSpec, copula_density, copula_partials
-from fhsmooth.geometry import uv_to_wz
+from fhsmooth.geometry import DomainError, uv_to_wz
 from fhsmooth.radius import constant_radius, gaussian_band_radius
 from fhsmooth.sampler import (
     InvalidModelError,
@@ -199,3 +199,29 @@ def test_sample_batch_prefix_for_wrapped_seeds(seed):
     short = sample_batch(GAUSS, 1000, seed=seed)
     assert np.array_equal(short.pairs, long.pairs[:1000])
     assert np.all((long.pairs > 0) & (long.pairs < 1))
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_conditional_inverse_end_roots(t, monkeypatch):
+    # f(0) = -t and f(1) = 1 - t: at t = 0 (f(0) = -0.0) and t = 1 the
+    # bracket's own end is the root
+    spec = VALIDATING_SPECS[4]
+    calls = _record_partials(monkeypatch)
+    assert conditional_inverse(spec, 0.5, t) == t
+    assert len(calls) <= 1
+    idx = np.arange(50, dtype=np.uint64)
+    u, tt = counter_uniforms(9, idx * np.uint64(2)), counter_uniforms(9, idx * np.uint64(2) + np.uint64(1))
+    tt[::2] = t
+    v = conditional_inverse(spec, u, tt)
+    assert np.all(v[::2] == t)
+    assert np.array_equal(v[1::2], conditional_inverse(spec, u[1::2], tt[1::2]))
+
+
+@pytest.mark.parametrize("u, t", [(-0.1, 0.5), (1.5, 0.5), (math.nan, 0.5), (0.5, -0.1), (0.5, 1.5), (0.5, math.nan)])
+def test_conditional_inverse_rejects_points_outside_the_square(u, t):
+    with pytest.raises(DomainError):
+        conditional_inverse(VALIDATING_SPECS[4], [0.5, u], [0.5, t])
+
+
+def test_conditional_inverse_empty():
+    assert conditional_inverse(GAUSS, np.array([]), np.array([])).shape == (0,)
