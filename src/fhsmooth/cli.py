@@ -2,15 +2,16 @@
 
 Copula names: w, m (the sharp lower/upper bounds) and wbar, mbar (their
 disc-averaged versions; these require --radius with a model JSON, inline
-or as a file path).  Exit codes: 0 success or pass, 1 validation/check
-fail, 2 usage, input or file error.
+or as a file path).  Only wbar and mbar have a density, so density,
+validate and sample take those two, and band takes mbar alone; the parser
+rejects any other --copula.  Exit codes: 0 success or pass, 1
+validation/check fail, 2 usage, input or file error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from dataclasses import asdict
 
@@ -31,6 +32,7 @@ _COPULAS = {
     "wbar": "smoothed_lower",
     "mbar": "smoothed_upper",
 }
+_SMOOTHED = ["mbar", "wbar"]
 
 
 @functools.cache
@@ -43,35 +45,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--copula", required=True, choices=sorted(_COPULAS))
+    def add_common(name, summary, copulas=sorted(_COPULAS)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--copula", required=True, choices=copulas)
         p.add_argument("--radius", help="radius model JSON (inline or file path)")
         p.add_argument("--out", help="output file (atomic write); default stdout")
+        return p
 
-    p_eval = sub.add_parser("eval", help="copula value at one point")
-    add_common(p_eval)
+    p_eval = add_common("eval", "copula value at one point")
     p_eval.add_argument("--u", type=float, required=True)
     p_eval.add_argument("--v", type=float, required=True)
 
-    p_dens = sub.add_parser("density", help="copula density at one point")
-    add_common(p_dens)
+    p_dens = add_common("density", "copula density at one point", _SMOOTHED)
     p_dens.add_argument("--u", type=float, required=True)
     p_dens.add_argument("--v", type=float, required=True)
 
-    p_grid = sub.add_parser("grid", help="CSV u,v,value,density on a lattice")
-    add_common(p_grid)
+    p_grid = add_common("grid", "CSV u,v,value,density on a lattice")
     p_grid.add_argument("--grid-n", type=int, default=64)
 
-    p_val = sub.add_parser("validate", help="validation report JSON (exit 1 on fail)")
-    add_common(p_val)
+    p_val = add_common("validate", "validation report JSON (exit 1 on fail)", _SMOOTHED)
     p_val.add_argument("--grid-n", type=int, default=64)
 
-    p_chk = sub.add_parser("check", help="copula-axiom report JSON (exit 1 on fail)")
-    add_common(p_chk)
+    p_chk = add_common("check", "copula-axiom report JSON (exit 1 on fail)")
     p_chk.add_argument("--grid-n", type=int, default=128)
 
-    p_smp = sub.add_parser("sample", help="CSV of sampled pairs")
-    add_common(p_smp)
+    p_smp = add_common("sample", "CSV of sampled pairs", _SMOOTHED)
     p_smp.add_argument("--n", type=int, required=True)
     p_smp.add_argument("--seed", type=int, default=0)
     p_smp.add_argument(
@@ -80,22 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit x,y = normal quantiles of u,v instead of u,v",
     )
 
-    p_band = sub.add_parser("band", help="support band JSON at one w (mbar only)")
-    add_common(p_band)
+    p_band = add_common("band", "support band JSON at one w", ["mbar"])
     p_band.add_argument("--w", type=float, default=0.0)
 
     return parser
 
 
 def _load_model(parser, args):
-    family = _COPULAS[args.copula]
     text = args.radius
-    if family.startswith("smoothed"):
+    if args.copula in _SMOOTHED:
         if not text:
             parser.error(f"--copula {args.copula} requires --radius")
         if not text.lstrip().startswith("{"):
-            if not os.path.exists(text):
-                parser.error(f"radius file not found: {text}")
             with open(text) as fh:
                 text = fh.read()
         return model_from_json(text)
@@ -105,22 +99,13 @@ def _load_model(parser, args):
 
 
 def _dispatch(parser, args) -> int:
-    family = _COPULAS[args.copula]
     model = _load_model(parser, args)
-    spec = CopulaSpec(family, model)
+    spec = CopulaSpec(_COPULAS[args.copula], model)
 
-    if args.command == "eval":
+    if args.command in ("eval", "density"):
         point = SquarePoint(args.u, args.v)
-        value = float(copula_values(spec, point.u, point.v))
-        write_output(format_float(value), args.out)
-        return 0
-
-    if args.command == "density":
-        if not spec.smoothed:
-            parser.error("density is defined for wbar/mbar only (w and m are singular)")
-        point = SquarePoint(args.u, args.v)
-        value = float(copula_density(spec, point.u, point.v))
-        write_output(format_float(value), args.out)
+        evaluate = copula_values if args.command == "eval" else copula_density
+        write_output(format_float(float(evaluate(spec, point.u, point.v))), args.out)
         return 0
 
     if args.command == "grid":
@@ -139,21 +124,15 @@ def _dispatch(parser, args) -> int:
         write_output(csv_text("u,v,value,density", rows), args.out)
         return 0
 
-    if args.command == "validate":
-        if not spec.smoothed:
-            parser.error("validate applies to wbar/mbar only")
-        report = validate_model(model, spec.orientation, args.grid_n)
-        write_output(json_text(report.to_json_dict()), args.out)
-        return 0 if report.verdict else 1
-
-    if args.command == "check":
-        report = check_copula(spec, args.grid_n)
+    if args.command in ("validate", "check"):
+        if args.command == "validate":
+            report = validate_model(model, spec.orientation, args.grid_n)
+        else:
+            report = check_copula(spec, args.grid_n)
         write_output(json_text(report.to_json_dict()), args.out)
         return 0 if report.verdict else 1
 
     if args.command == "sample":
-        if not spec.smoothed:
-            parser.error("sample applies to wbar/mbar only")
         batch = sample_batch(spec, args.n, args.seed)
         if args.gaussian:
             write_output(csv_text("x,y", to_gaussian(batch)), args.out)
@@ -162,8 +141,6 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if args.command == "band":
-        if family != "smoothed_upper":
-            parser.error("band applies to mbar only")
         write_output(json_text(asdict(support_band(model, args.w))), args.out)
         return 0
 

@@ -85,7 +85,7 @@ def _sweep_positive(coeffs, label: str):
         idx = int(np.argmin(vals))
         raise ModelSpecError(
             f"{label} must be strictly positive across the diamond; "
-            f"found {vals[idx]!r} at {xs[idx]!r}"
+            f"found {float(vals[idx])!r} at {float(xs[idx])!r}"
         )
 
 
@@ -309,7 +309,8 @@ def model_from_json(source) -> object:
         {"kind": "product", "p": [...], "q": [...]}
         {"kind": "gaussian_band", "d": 1.0}
 
-    Polynomial coefficients are low-to-high degree.
+    Polynomial coefficients are low-to-high degree.  Numbers must be JSON
+    numbers: a string or a boolean where one is due raises ModelSpecError.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -321,6 +322,12 @@ def model_from_json(source) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ModelSpecError("radius JSON must be an object with a 'kind' key")
     kind = obj["kind"]
+    for key in ("r0", "d", "epsilon", "p", "q"):
+        x, many = obj.get(key), key in ("p", "q")
+        items = x if many and isinstance(x, (list, tuple)) else [x]
+        if x is not None and not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in items):
+            want = "a list of numbers" if many else "a number"
+            raise ModelSpecError(f"radius JSON {key!r} must be {want}, got {x!r}")
     try:
         if kind == "constant":
             return constant_radius(obj["r0"])

@@ -49,11 +49,14 @@ def csv_text(header: str, rows) -> str:
 
 
 def write_output(text: str, out_path=None):
-    """Print to stdout, or write atomically (temp file + rename) to a path."""
+    """Print to stdout, or write atomically (temp file + rename) to a path.
+
+    Both get the same bytes: the text, ending in one newline.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fhsmooth-")

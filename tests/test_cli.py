@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,16 @@ from fhsmooth.radius import gaussian_band_radius
 GAUSS_JSON = '{"kind":"gaussian_band","d":1.0}'
 CONST_JSON = '{"kind":"constant","r0":0.2}'
 SKEW_JSON = '{"kind":"product","p":[0.25,0,-0.2],"epsilon":0.3}'
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the copulas each command accepts: only wbar and mbar are absolutely
+# continuous, and the support band is a fact of the upper family
+ALL = ["m", "mbar", "w", "wbar"]
+ACCEPTS = {"eval": ALL, "grid": ALL, "check": ALL, "density": ["mbar", "wbar"],
+           "validate": ["mbar", "wbar"], "sample": ["mbar", "wbar"], "band": ["mbar"]}
+# each command's other required options
+EXTRA = {"eval": ("--u", "0.5", "--v", "0.5"), "density": ("--u", "0.5", "--v", "0.5"),
+         "sample": ("--n", "5")}
 
 
 def run(capsys, *argv):
@@ -167,8 +179,6 @@ def test_usage_errors(capsys):
     assert run(capsys, "density", "--copula", "m", "--u", "0.5", "--v", "0.5")[0] == 2
     assert run(capsys, "band", "--copula", "wbar", "--radius", GAUSS_JSON)[0] == 2
     assert run(capsys, "nope")[0] == 2
-    assert run(capsys, "eval", "--copula", "mbar", "--radius", "/no/such/file.json",
-               "--u", "0.5", "--v", "0.5")[0] == 2
     assert run(capsys, "eval", "--copula", "mbar", "--radius", '{"kind":"bogus"}',
                "--u", "0.5", "--v", "0.5")[0] == 2
     assert run(capsys, "eval", "--copula", "mbar", "--radius", SKEW_JSON[:-1] + ',"q":[5,1]}',
@@ -186,14 +196,60 @@ def test_usage_errors(capsys):
 
 
 def test_file_errors_exit_two(capsys, tmp_path):
-    # an unreadable --radius path and an --out in a missing directory are
-    # input errors (2), reported on stderr, not a traceback or a failed check (1)
+    # a missing or unreadable --radius path and an --out in a missing directory
+    # are input errors (2), reported on stderr, not a traceback or a failed check (1)
     point = ("--u", "0.5", "--v", "0.5")
-    for argv in (("--radius", str(tmp_path)),
+    for argv in (("--radius", str(tmp_path / "missing.json")), ("--radius", str(tmp_path)),
                  ("--radius", GAUSS_JSON, "--out", str(tmp_path / "no" / "such" / "x.txt"))):
         code, out, err = run(capsys, "eval", "--copula", "mbar", *argv, *point)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTS))
+def test_help_lists_the_copulas_each_command_accepts(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    listed = re.findall(r"--copula \{([^}]*)\}", out)
+    assert code == 0 and listed
+    assert all(choices.split(",") == ACCEPTS[command] for choices in listed)
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTS))
+def test_parser_rejects_the_other_copulas(capsys, command):
+    # the rejected copula is the only fault: a smoothed one brings its --radius
+    for copula in sorted(set(ALL) - set(ACCEPTS[command])):
+        radius = ("--radius", GAUSS_JSON) if copula.endswith("bar") else ()
+        code, out, err = run(capsys, command, "--copula", copula, *radius, *EXTRA.get(command, ()))
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("eval", ("--copula", "m", "--u", "0.3", "--v", "0.5")),
+    ("density", ("--copula", "mbar", "--radius", CONST_JSON, "--u", "0.5", "--v", "0.5")),
+    ("grid", ("--copula", "mbar", "--radius", GAUSS_JSON, "--grid-n", "4")),
+    ("validate", ("--copula", "mbar", "--radius", CONST_JSON, "--grid-n", "8")),
+    ("check", ("--copula", "m", "--grid-n", "32")),
+    ("sample", ("--copula", "mbar", "--radius", GAUSS_JSON, "--n", "5", "--seed", "3")),
+    ("band", ("--copula", "mbar", "--radius", SKEW_JSON)),
+])
+def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, command, argv):
+    code, out, _ = run(capsys, command, *argv)
+    assert code in (0, 1)  # validate fails its model: the report is written all the same
+    path = tmp_path / "out.txt"
+    assert run(capsys, command, *argv, "--out", str(path)) == (code, "", "")
+    assert path.read_bytes() == out.encode() and out.endswith("\n")
+
+
+def test_readme_command_lines_parse():
+    # parsed only, not run: the README's examples name options and copulas
+    # the parser accepts
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("fhsmooth ")]
+    assert {shlex.split(line)[1] for line in lines} == set(ACCEPTS)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_sample_rejects_invalid_model(capsys):

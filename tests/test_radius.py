@@ -376,6 +376,35 @@ def test_json_errors():
         model_from_json({"kind": "product", "p": [0.25, 0, -0.2], "epsilon": 0.3, "q": [5, 1]})
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"kind":"product","p":"3","epsilon":0.3}', "p"),  # a string is iterable: p = [3]
+    ('{"kind":"product","p":[0.25,0,-0.2],"q":"1"}', "q"),
+    ('{"kind":"product","p":[0.25,0,-0.2],"q":[1,true]}', "q"),
+    ('{"kind":"product","p":[0.25,0,-0.2],"epsilon":"0.3"}', "epsilon"),
+    ('{"kind":"constant","r0":true}', "r0"),
+    ('{"kind":"gaussian_band","d":"1"}', "d"),
+])
+def test_json_rejects_strings_and_booleans_as_numbers(text, key):
+    # each of these built a valid model before: float() takes "0.3" and True
+    with pytest.raises(ModelSpecError, match=f"radius JSON '{key}' must be"):
+        model_from_json(text)
+
+
+def test_json_takes_ints_and_floats():
+    assert model_from_json('{"kind":"constant","r0":1}') == constant_radius(1.0)
+    assert model_from_json('{"kind":"gaussian_band","d":2}') == gaussian_band_radius(2.0)
+    assert model_from_json('{"kind":"product","p":[1,0.5],"q":[2]}') == product_radius([1.0, 0.5], q=[2.0])
+
+
+def test_sweep_error_prints_plain_floats():
+    with pytest.raises(ModelSpecError) as info:
+        product_radius([0.0, 1.0], epsilon=0.1)  # p(w) = w is negative on half the diamond
+    message = str(info.value)
+    assert "np." not in message
+    found, at = message.split("found ")[1].split(" at ")
+    assert float(found) == float(at) < 0
+
+
 # High-precision pins for the gaussian band.  The double w is taken as
 # given: a = |w| is exact in mpmath, and r is the 50-digit root of
 # Q(x) + Q(x + d) = 1 - sqrt(2)*a, r = (Q(x) - Q(x + d))/sqrt(2), which
