@@ -110,8 +110,8 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "grid":
         n = args.grid_n
-        if n < 1:
-            parser.error("--grid-n must be >= 1")
+        if n < 1:  # worded and reported as validate's and check's own bounds
+            raise ValueError(f"grid_n must be >= 1, got {n!r}")
         mids = (np.arange(n) + 0.5) / n
         uu, vv = np.meshgrid(mids, mids, indexing="ij")
         u, v = uu.ravel(), vv.ravel()

@@ -53,6 +53,9 @@ from .kernel import std_normal_pdf
 
 _AXIS_INSET = 1e-9  # positivity is required on the open diamond only
 _SWEEP_POINTS = 1001
+# where a product model's p and q must be positive; read-only, shared by every model
+_SWEEP_XS = np.linspace(-(DIAMOND_RADIUS - _AXIS_INSET), DIAMOND_RADIUS - _AXIS_INSET, _SWEEP_POINTS)
+_SWEEP_XS.flags.writeable = False
 _EDGE_ITERS = 60  # cap; over the diamond, 4 steps suffice for every d in [0.01, 40]
 _EDGE_TOL = 1e-9  # a Newton step this small leaves an error far below one ulp
 _BAND_TOL = 1e-14
@@ -78,14 +81,12 @@ class SupportBand:
 
 
 def _sweep_positive(coeffs, label: str):
-    lim = DIAMOND_RADIUS - _AXIS_INSET
-    xs = np.linspace(-lim, lim, _SWEEP_POINTS)
-    vals = npoly.polyval(xs, coeffs)
+    vals = npoly.polyval(_SWEEP_XS, coeffs)
     if np.min(vals) <= 0.0:
         idx = int(np.argmin(vals))
         raise ModelSpecError(
             f"{label} must be strictly positive across the diamond; "
-            f"found {float(vals[idx])!r} at {float(xs[idx])!r}"
+            f"found {float(vals[idx])!r} at {float(_SWEEP_XS[idx])!r}"
         )
 
 
@@ -299,6 +300,10 @@ def support_band(model, w: float) -> SupportBand:
     return SupportBand(w, lower, upper, kappa)
 
 
+#: The keys each kind of model JSON takes besides "kind".
+_JSON_KEYS = {"constant": ("r0",), "product": ("p", "epsilon", "q"), "gaussian_band": ("d",)}
+
+
 def model_from_json(source) -> object:
     """Build a radius model from a JSON object or its text form.
 
@@ -310,7 +315,9 @@ def model_from_json(source) -> object:
         {"kind": "gaussian_band", "d": 1.0}
 
     Polynomial coefficients are low-to-high degree.  Numbers must be JSON
-    numbers: a string or a boolean where one is due raises ModelSpecError.
+    numbers: a string or a boolean where one is due raises ModelSpecError,
+    as does a key outside the kind's own set (a misspelled "epsilon" would
+    otherwise be dropped without a word).
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -322,7 +329,13 @@ def model_from_json(source) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ModelSpecError("radius JSON must be an object with a 'kind' key")
     kind = obj["kind"]
-    for key in ("r0", "d", "epsilon", "p", "q"):
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
+        raise ModelSpecError(f"unknown radius kind {kind!r}")
+    keys = _JSON_KEYS[kind]
+    unknown = [key for key in obj if key != "kind" and key not in keys]
+    if unknown:
+        raise ModelSpecError(f"radius JSON kind {kind!r} takes only {list(keys)}; got {unknown}")
+    for key in keys:
         x, many = obj.get(key), key in ("p", "q")
         items = x if many and isinstance(x, (list, tuple)) else [x]
         if x is not None and not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in items):
@@ -333,15 +346,13 @@ def model_from_json(source) -> object:
             return constant_radius(obj["r0"])
         if kind == "product":
             return product_radius(obj["p"], epsilon=obj.get("epsilon"), q=obj.get("q"))
-        if kind == "gaussian_band":
-            return gaussian_band_radius(obj["d"])
+        return gaussian_band_radius(obj["d"])
     except KeyError as exc:
         raise ModelSpecError(f"radius JSON missing key {exc} for kind {kind!r}") from exc
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ModelSpecError):
             raise
         raise ModelSpecError(f"bad radius parameters: {exc}") from exc
-    raise ModelSpecError(f"unknown radius kind {kind!r}")
 
 
 def model_to_json(model) -> dict:

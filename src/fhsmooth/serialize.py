@@ -39,13 +39,27 @@ def json_text(obj, indent: int = 0) -> str:
 def csv_text(header: str, rows) -> str:
     """Columnar float output under a fixed header line; rows is a 2-D array.
 
-    The whole array is formatted by one %-operation with ``format_float``'s
-    "%.17g", so each value reads the same.
+    Each value reads as ``format_float`` spells it.  A lattice repeats most
+    of its values, so a column with at most half as many distinct values as
+    rows is formatted once per distinct value and gathered back; any other
+    column goes to the line template as "%.17g" directly.  Values are told
+    apart by their bit pattern, not by ==, which would merge -0.0 into 0.0
+    (spelled "-0" and "0").
     """
     rows = np.asarray(rows, dtype=float)
     n, k = rows.shape
-    line = ",".join(["%.17g"] * k) + "\n"
-    return header + "\n" + (line * n) % tuple(rows.ravel().tolist())
+    slots, cells = [], np.empty((n, k), dtype=object)
+    for j, col in enumerate(rows.T):
+        bits, back = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * bits.size > n:
+            slots.append("%.17g")
+            cells[:, j] = col
+        else:
+            slots.append("%s")
+            text = ("%.17g\n" * bits.size) % tuple(bits.view(np.float64).tolist())
+            cells[:, j] = np.array(text.split("\n")[:-1], dtype=object)[back]
+    line = ",".join(slots) + "\n"
+    return header + "\n" + (line * n) % tuple(cells.ravel().tolist())
 
 
 def write_output(text: str, out_path=None):

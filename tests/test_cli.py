@@ -14,7 +14,8 @@ import fhsmooth
 from fhsmooth.cli import build_parser, main
 from fhsmooth.copulas import CopulaSpec, copula_density, copula_values, smoothed_value
 from fhsmooth.geometry import SquarePoint
-from fhsmooth.radius import gaussian_band_radius
+from fhsmooth.radius import gaussian_band_radius, model_from_json
+from fhsmooth.serialize import format_float
 
 GAUSS_JSON = '{"kind":"gaussian_band","d":1.0}'
 CONST_JSON = '{"kind":"constant","r0":0.2}'
@@ -118,6 +119,25 @@ def test_grid_command_round_trips(capsys, tmp_path):
     assert np.array_equal(data[:, 3], want_d)
 
 
+@pytest.mark.parametrize("copula, family, radius", [
+    ("mbar", "smoothed_upper", GAUSS_JSON),
+    ("wbar", "smoothed_lower", '{"kind":"product","p":[1.0],"q":[0.25,0,-0.5]}'),
+])
+def test_grid_stdout_is_the_per_cell_format(capsys, copula, family, radius):
+    # at 64 every column has at most half as many distinct values as rows,
+    # so each one takes csv_text's formatted-once path
+    n = 64
+    code, out, _ = run(capsys, "grid", "--copula", copula, "--radius", radius, "--grid-n", str(n))
+    mids = (np.arange(n) + 0.5) / n
+    u, v = (a.ravel() for a in np.meshgrid(mids, mids, indexing="ij"))
+    spec = CopulaSpec(family, model_from_json(radius))
+    columns = [u, v, copula_values(spec, u, v), copula_density(spec, u, v)]
+    assert all(2 * np.unique(c.view(np.int64)).size <= c.size for c in columns)
+    cells = [list(map(format_float, c)) for c in columns]
+    assert code == 0
+    assert out == "u,v,value,density\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
 def test_sample_command_deterministic(capsys):
     argv = [
         "sample", "--copula", "mbar", "--radius", GAUSS_JSON,
@@ -193,6 +213,24 @@ def test_usage_errors(capsys):
     for argv in (("grid", "--copula", "m", "--grid-n", "0"), ("validate", "--copula", "m"),
                  ("sample", "--copula", "w", "--n", "5")):
         assert run(capsys, *argv)[:2] == (2, "")
+
+
+@pytest.mark.parametrize("argv, least", [
+    (("grid", "--copula", "m"), 1),
+    (("validate", "--copula", "mbar", "--radius", CONST_JSON), 8),
+    (("check", "--copula", "m"), 32),
+])
+def test_grid_n_below_its_bound_is_one_error_style(capsys, argv, least):
+    # each command's --grid-n bound is reported the same way: one "error:" line, exit 2
+    for n in (least - 1, -5):
+        code, out, err = run(capsys, *argv, "--grid-n", str(n))
+        assert (code, out, err) == (2, "", f"error: grid_n must be >= {least}, got {n}\n")
+
+
+def test_model_json_with_a_key_of_another_kind_exits_two(capsys):
+    radius = '{"kind":"product","p":[0.25,0,-0.2],"q":[1,0.1],"epsilonn":0.3}'
+    code, out, err = run(capsys, "eval", "--copula", "mbar", "--radius", radius, "--u", "0.5", "--v", "0.5")
+    assert (code, out) == (2, "") and "epsilonn" in err
 
 
 def test_file_errors_exit_two(capsys, tmp_path):

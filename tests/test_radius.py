@@ -390,6 +390,19 @@ def test_json_rejects_strings_and_booleans_as_numbers(text, key):
         model_from_json(text)
 
 
+@pytest.mark.parametrize("obj, stray", [
+    ({"kind": "product", "p": [0.25, 0, -0.2], "q": [1, 0.1], "epsilonn": 0.3}, "epsilonn"),
+    ({"kind": "product", "p": [0.25, 0, -0.2], "epsilon": 0.3, "d": 1.0}, "d"),
+    ({"kind": "gaussian_band", "d": 1, "r0": 0.5}, "r0"),
+    ({"kind": "gaussian_band", "d": 1, "D": "x"}, "D"),
+    ({"kind": "constant", "r0": 0.2, "epsilon": 0.3}, "epsilon"),
+])
+def test_json_rejects_keys_outside_the_kinds_own_set(obj, stray):
+    # each of these built a model before, the stray key dropped without a word
+    with pytest.raises(ModelSpecError, match=f"kind '{obj['kind']}' takes only .*'{stray}'"):
+        model_from_json(obj)
+
+
 def test_json_takes_ints_and_floats():
     assert model_from_json('{"kind":"constant","r0":1}') == constant_radius(1.0)
     assert model_from_json('{"kind":"gaussian_band","d":2}') == gaussian_band_radius(2.0)

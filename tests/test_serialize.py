@@ -1,6 +1,9 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhsmooth.serialize import csv_text, format_float
 
@@ -38,3 +41,50 @@ def test_format_float_round_trips():
 
 def test_csv_text_with_no_rows_is_the_header():
     assert csv_text("u,v", np.empty((0, 2))) == "u,v\n"
+
+
+# bit patterns a column must keep apart: -0.0 beside 0.0, NaNs with other
+# payloads, a signalling NaN, +-inf and subnormals
+SPECIAL_BITS = [
+    0x8000000000000000, 0x0000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+    0xFFF8000000000000, 0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x8000000000000001,
+]
+bit_patterns = st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1)
+
+
+def as_floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def per_cell_csv(header, rows):
+    return "".join([header, "\n", *(",".join(map(format_float, row)) + "\n" for row in rows)])
+
+
+@st.composite
+def csv_rows(draw):
+    """n x k rows; each column mixes a few repeated patterns with fresh ones."""
+    n, k = draw(st.integers(0, 24)), draw(st.integers(1, 3))
+    columns = []
+    for _ in range(k):
+        pool = draw(st.lists(bit_patterns, min_size=1, max_size=3))
+        columns.append(draw(st.lists(st.sampled_from(pool) | bit_patterns, min_size=n, max_size=n)))
+    return as_floats(columns).reshape(k, n).T
+
+
+@given(csv_rows())
+def test_csv_text_matches_per_cell_format_float(rows):
+    assert csv_text("h", rows) == per_cell_csv("h", rows)
+
+
+@pytest.mark.parametrize("column", [
+    as_floats([0x8000000000000000, 0] * 8),  # -0.0 beside 0.0, both repeated
+    as_floats([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001] * 4),
+    as_floats([0x7FF0000000000000, 0xFFF0000000000000, 1, 0x000FFFFFFFFFFFFF] * 3),
+    np.full(9, 0.1),  # all equal
+    np.arange(9) / 7.0,  # all distinct
+    np.empty(0),
+], ids=["signed-zeros", "nan-payloads", "inf-subnormal", "all-equal", "all-distinct", "empty"])
+def test_csv_text_edge_columns(column):
+    rows = np.column_stack([column, column[::-1], np.zeros_like(column)])
+    assert csv_text("a,b,c", rows) == per_cell_csv("a,b,c", rows)
