@@ -19,6 +19,10 @@ with all four identically |rho|, sign(rho), 0, 0 outside the open band.
 gives g (values), order 1 gives (g', h) (partials) and order 2 gives
 (g'', h) (density).  g'' and h are functions of sqrt(1 - rho^2) alone, so
 the density needs no arcsin.
+
+``std_normal_quantile`` imports scipy.special's ``ndtri`` when it is first
+called, not at import: only the normal-marginal transform needs it, and
+a process that never calls it does not load scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .geometry import DomainError
 
@@ -74,4 +77,5 @@ def std_normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("quantile requires probabilities strictly inside (0, 1)")
+    from scipy.special import ndtri  # deferred: see the module docstring
     return ndtri(arr)

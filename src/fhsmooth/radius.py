@@ -34,6 +34,11 @@ Three model kinds are supported:
   has 2n - 1 distinct w on midpoints, more on linspace nodes (1531 at n = 512).
   The distinct w come from one sort: a flag where a sorted value differs from
   its predecessor, whose running sum numbers the slots.
+
+  Phi and Phi^{-1} are scipy.special's ``ndtr`` and ``ndtri``, imported in
+  the solve itself rather than at import: the constant and product models
+  need numpy alone, and a process that never solves a gaussian band does
+  not load scipy.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import ndtr, ndtri
 
 from .geometry import DIAMOND_RADIUS, SQRT2, DomainError, Orientation
 from .kernel import std_normal_pdf
@@ -176,6 +180,7 @@ class GaussianBandRadius:
         r is defined iff 1/sqrt(2) - |w| - 1e-15 > 0; the inset keeps c
         away from 0 at the corners.  Elsewhere x, y and r are NaN.
         """
+        from scipy.special import ndtr, ndtri  # deferred: see the module docstring
         ok = DIAMOND_RADIUS - np.abs(w) - 1e-15 > 0
         d = self.d
         c = 1.0 - SQRT2 * np.where(ok, np.abs(w), 0.0)

@@ -44,21 +44,25 @@ def csv_text(header: str, rows) -> str:
     rows is formatted once per distinct value and gathered back; any other
     column goes to the line template as "%.17g" directly.  Values are told
     apart by their bit pattern, not by ==, which would merge -0.0 into 0.0
-    (spelled "-0" and "0").
+    (spelled "-0" and "0").  When no column repeats (sampled pairs), the
+    rows go to the template as they are, with no table of cells.
     """
     rows = np.asarray(rows, dtype=float)
     n, k = rows.shape
-    slots, cells = [], np.empty((n, k), dtype=object)
-    for j, col in enumerate(rows.T):
-        bits, back = np.unique(col.view(np.int64), return_inverse=True)
-        if 2 * bits.size > n:
-            slots.append("%.17g")
-            cells[:, j] = col
-        else:
-            slots.append("%s")
+    # per column: (distinct bit patterns, index back), or None to format directly
+    found = (np.unique(col.view(np.int64), return_inverse=True) for col in rows.T)
+    shared = [f if 2 * f[0].size <= n else None for f in found]
+    line = ",".join("%.17g" if s is None else "%s" for s in shared) + "\n"
+    cells = rows
+    if any(s is not None for s in shared):
+        cells = np.empty((n, k), dtype=object)
+        for j, s in enumerate(shared):
+            if s is None:
+                cells[:, j] = rows[:, j]
+                continue
+            bits, back = s
             text = ("%.17g\n" * bits.size) % tuple(bits.view(np.float64).tolist())
             cells[:, j] = np.array(text.split("\n")[:-1], dtype=object)[back]
-    line = ",".join(slots) + "\n"
     return header + "\n" + (line * n) % tuple(cells.ravel().tolist())
 
 

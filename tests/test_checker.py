@@ -137,3 +137,25 @@ def test_validating_product_model_checks():
         assert report.frechet_ok
         assert abs(report.density_integral - 1.0) <= 1e-5
         assert report.verdict
+
+
+def test_one_slightly_negative_midpoint_density_fails_the_check(monkeypatch):
+    # -1e-8 at one lattice midpoint is below the density gate; the mass rule,
+    # whose nodes are not lattice midpoints, must not see it
+    import fhsmooth.checker as checker
+
+    spec = CopulaSpec("smoothed_upper", product_radius([0.25, 0, -0.5], epsilon=0.2))
+    clean = check_copula(spec, 64)
+    assert clean.verdict and clean.min_density == 0.0  # outside the band
+    xs = np.linspace(0.0, 1.0, 64)
+    mids = 0.5 * (xs[:-1] + xs[1:])  # the checker's lattice midpoints
+    mu, mv = mids[20], mids[40]
+
+    def dipped(spec, u, v):
+        return np.where((u == mu) & (v == mv), -1e-8, copula_density(spec, u, v))
+
+    monkeypatch.setattr(checker, "copula_density", dipped)
+    report = check_copula(spec, 64)
+    assert report.min_density == -1e-8
+    assert report.density_integral == clean.density_integral
+    assert report.verdict is False

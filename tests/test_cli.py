@@ -319,15 +319,17 @@ def test_main_reuses_one_parser(capsys):
     assert build_parser() is build_parser()
 
 
+def subprocess_env():
+    """os.environ with the imported fhsmooth's sources first on PYTHONPATH."""
+    src = str(Path(fhsmooth.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point(capsys):
     # `python -m fhsmooth.cli` runs entry(), which exits with main's code
-    src = str(Path(fhsmooth.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-
     def run_module(*argv):
         return subprocess.run([sys.executable, "-m", "fhsmooth.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=subprocess_env(), timeout=60)
 
     argv = ("eval", "--copula", "m", "--u", "0.3", "--v", "0.5")
     proc = run_module(*argv)
@@ -336,3 +338,49 @@ def test_module_entry_point(capsys):
     proc = run_module("eval", "--copula", "mbar", "--u", "0.5", "--v", "0.5")
     assert proc.returncode == 2
     assert "requires --radius" in proc.stderr
+
+
+# Only the gaussian band's solve and the normal-marginal transform call
+# scipy.special; it must be loaded there and nowhere else.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import fhsmooth, fhsmooth.cli
+loaded = ["scipy.special" in sys.modules]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(fhsmooth.cli.main(argv))
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps([codes, loaded]))
+"""
+
+
+def start_probe(*argvs):
+    return subprocess.Popen([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=subprocess_env())
+
+
+def probe_result(proc):
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()  # a no-op once it has exited
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
+def test_scipy_loads_only_for_normal_quantiles_and_cdfs():
+    product = ("--copula", "mbar", "--radius", '{"kind":"product","p":[0.25,0,-0.5],"epsilon":0.2}')
+    # two processes, run side by side: scipy stays loaded once imported
+    numpy_only = start_probe(
+        ["eval", *product, "--u", "0.3", "--v", "0.6"],
+        ["validate", *product, "--grid-n", "8"],
+        ["check", *product, "--grid-n", "32"],
+        ["grid", *product, "--grid-n", "4"],
+        ["sample", *product, "--n", "5"],
+        ["eval", "--copula", "m", "--u", "0.3", "--v", "0.6"],
+        ["sample", *product, "--n", "5", "--gaussian"],  # to_gaussian: Phi^-1
+    )
+    band = start_probe(["eval", "--copula", "mbar", "--radius", GAUSS_JSON, "--u", "0.3", "--v", "0.6"])
+    assert probe_result(numpy_only) == [[0] * 7, [False] * 7 + [True]]
+    assert probe_result(band) == [[0], [False, True]]

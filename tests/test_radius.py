@@ -418,6 +418,16 @@ def test_sweep_error_prints_plain_floats():
     assert float(found) == float(at) < 0
 
 
+def test_sweep_finds_a_narrow_negative_dip():
+    # p(w) = (w - x0)^2 - delta^2 is negative on (x0 - delta, x0 + delta) only,
+    # a dip 2e-3 wide and 1e-6 deep; the sweep's nodes must fall inside it
+    x0, delta = 0.05, 1e-3
+    with pytest.raises(ModelSpecError, match=r"^p\(w\) must be strictly positive") as info:
+        product_radius([x0 * x0 - delta * delta, -2 * x0, 1.0], q=[1.0])
+    found, at = (float(x) for x in str(info.value).split("found ")[1].split(" at "))
+    assert -delta * delta <= found < 0 and abs(at - x0) < delta
+
+
 # High-precision pins for the gaussian band.  The double w is taken as
 # given: a = |w| is exact in mpmath, and r is the 50-digit root of
 # Q(x) + Q(x + d) = 1 - sqrt(2)*a, r = (Q(x) - Q(x + d))/sqrt(2), which
