@@ -113,14 +113,11 @@ def _dispatch(parser, args) -> int:
         if n < 1:  # worded and reported as validate's and check's own bounds
             raise ValueError(f"grid_n must be >= 1, got {n!r}")
         mids = (np.arange(n) + 0.5) / n
-        uu, vv = np.meshgrid(mids, mids, indexing="ij")
-        u, v = uu.ravel(), vv.ravel()
-        values = copula_values(spec, u, v)
-        if spec.smoothed:
-            dens = copula_density(spec, u, v)
-        else:
-            dens = np.zeros_like(values)  # singular: a.e. density
-        rows = np.column_stack([u, v, values, dens])
+        rows = np.empty((n * n, 4))  # filled in place, one column at a time
+        u, v, values, dens = rows.T
+        u[:], v[:] = np.repeat(mids, n), np.tile(mids, n)  # row-major lattice, u slowest
+        values[:] = copula_values(spec, u, v)
+        dens[:] = copula_density(spec, u, v) if spec.smoothed else 0.0  # singular: a.e. density
         write_output(csv_text("u,v,value,density", rows), args.out)
         return 0
 

@@ -159,3 +159,25 @@ def test_one_slightly_negative_midpoint_density_fails_the_check(monkeypatch):
     assert report.min_density == -1e-8
     assert report.density_integral == clean.density_integral
     assert report.verdict is False
+
+
+def test_one_node_lowered_by_1e_8_fails_the_volume_clause(monkeypatch):
+    # C lowered by 1e-8 at one node off the band gives the two cells with that
+    # node as lower-left or upper-right corner a volume of about -1e-8, below
+    # the -1e-10 gate; the boundary and Frechet clauses do not see it
+    import fhsmooth.checker as checker
+
+    spec = CopulaSpec("smoothed_upper", product_radius([0.25, 0, -0.5], epsilon=0.2))
+    xs = np.linspace(0.0, 1.0, 64)
+    nu, nv = xs[10], xs[50]  # |u - v| / sqrt(2) = 0.45: C = min(u, v) there
+    assert copula_values(spec, nu, nv) == nu
+
+    def lowered(spec, u, v):
+        return copula_values(spec, u, v) - 1e-8 * ((u == nu) & (v == nv))
+
+    monkeypatch.setattr(checker, "copula_values", lowered)
+    report = check_copula(spec, 64)
+    assert report.min_rectangle_volume == pytest.approx(-1e-8, rel=1e-6)
+    assert report.boundary_max_err <= 1e-8 and report.frechet_ok
+    assert report.min_density >= -1e-10
+    assert report.verdict is False

@@ -119,6 +119,19 @@ def test_grid_command_round_trips(capsys, tmp_path):
     assert np.array_equal(data[:, 3], want_d)
 
 
+def test_grid_makes_one_csv_text_and_one_write_output_call(capsys, monkeypatch):
+    # the benchmark's tracer counts serialize.bytes from the one write_output call
+    import fhsmooth.cli as cli
+
+    calls = []
+    for name in ("csv_text", "write_output"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    code, out, _ = run(capsys, "grid", "--copula", "mbar", "--radius", GAUSS_JSON, "--grid-n", "70")
+    assert code == 0 and out.count("\n") == 70 * 70 + 1  # 4900 rows: two csv_text pieces
+    assert calls == ["csv_text", "write_output"]
+
+
 @pytest.mark.parametrize("copula, family, radius", [
     ("mbar", "smoothed_upper", GAUSS_JSON),
     ("wbar", "smoothed_lower", '{"kind":"product","p":[1.0],"q":[0.25,0,-0.5]}'),

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhsmooth.serialize import csv_text, format_float
+from fhsmooth import serialize
+from fhsmooth.copulas import CopulaSpec, copula_values
+from fhsmooth.serialize import csv_text, format_float, write_output
 
 EDGE_VALUES = [
     math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
@@ -88,3 +91,60 @@ def test_csv_text_matches_per_cell_format_float(rows):
 def test_csv_text_edge_columns(column):
     rows = np.column_stack([column, column[::-1], np.zeros_like(column)])
     assert csv_text("a,b,c", rows) == per_cell_csv("a,b,c", rows)
+
+
+PIECE = serialize._PIECE_ROWS
+SPECIALS = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.5])
+
+
+@pytest.mark.parametrize("n", [PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 3])
+def test_csv_text_pieces_join_at_every_boundary(n):
+    # repeating columns, formatted once per value, beside one formatted directly
+    shared = SPECIALS[np.arange(n) % SPECIALS.size]
+    direct = np.arange(n) / 7.0
+    direct[::97] = SPECIALS[np.arange(direct[::97].size) % SPECIALS.size]
+    rows = np.column_stack([shared, direct, shared[::-1]])
+    assert [serialize._column_table(col) is None for col in rows.T] == [False, True, False]
+    assert csv_text("a,b,c", rows) == per_cell_csv("a,b,c", rows)
+
+
+def test_write_output_slices_give_stdout_and_file_the_same_bytes(capsys, tmp_path):
+    size = 2 * serialize._WRITE_CHARS + 3
+    text = "\n".join(map(str, range(size // 6)))[: size - 1] + "x"  # no final newline
+    assert len(text) == size
+    write_output(text)
+    out = capsys.readouterr().out
+    write_output(text, tmp_path / "out.csv")
+    assert out == text + "\n"
+    assert (tmp_path / "out.csv").read_bytes() == out.encode()
+
+
+def traced_peak(call):
+    """(result, tracemalloc peak in bytes) of call()."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_text_of_a_lattice_peaks_below_three_times_its_text():
+    # the rows of `grid --copula m --grid-n 256`, whose four columns all repeat;
+    # whole-body cells, their tuple and a header-prefixed copy peaked at 4.1x
+    n = 256
+    mids = (np.arange(n) + 0.5) / n
+    u, v = np.repeat(mids, n), np.tile(mids, n)
+    rows = np.column_stack([u, v, copula_values(CopulaSpec("fh_upper"), u, v), np.zeros(n * n)])
+    csv_text("u,v,value,density", rows[:n])  # warm up outside the trace
+    text, peak = traced_peak(lambda: csv_text("u,v,value,density", rows))
+    assert peak < 3.0 * len(text)
+
+
+def test_write_output_to_a_file_peaks_below_three_quarters_of_its_text(tmp_path):
+    # encoding the text in one write held a second whole copy: a peak of 1.0x
+    text = "0.33333333333333331,-0\n" * (2**22 // 23 + 1)
+    assert len(text) >= 2**22
+    write_output("warm-up", tmp_path / "warm.csv")
+    _, peak = traced_peak(lambda: write_output(text, tmp_path / "out.csv"))
+    assert peak <= 0.75 * len(text)

@@ -103,6 +103,20 @@ def test_containment_gaussian_passes():
     assert res.worst_margin >= -1e-9
 
 
+class BoundaryRadiusJustAboveT:
+    """r = |t| + 1e-7: on the boundary the band spills over by 1e-7 everywhere."""
+
+    def radius(self, w, z):
+        return np.abs(UP.swap(w, z)[0]) + 1e-7
+
+
+def test_containment_fails_a_margin_of_minus_1e_7():
+    # 100x the -1e-9 tolerance, and 10x inside a tolerance of -1e-6
+    res = containment_check(BoundaryRadiusJustAboveT(), UP, 64)
+    assert res.passed is False
+    assert res.worst_margin == pytest.approx(-1e-7, rel=1e-6)
+
+
 def test_containment_argument_check():
     with pytest.raises(ValueError):
         containment_check(constant_radius(0.2), UP, 8)
