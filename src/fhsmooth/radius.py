@@ -32,8 +32,7 @@ Three model kinds are supported:
   The solve runs once per distinct w in a call, which is exact: each point
   stops on its own, so its result depends on its own w only.  An n x n lattice
   has 2n - 1 distinct w on midpoints, more on linspace nodes (1531 at n = 512).
-  The distinct w come from one sort: a flag where a sorted value differs from
-  its predecessor, whose running sum numbers the slots.
+  The distinct w and each point's slot come from one np.unique call.
 
   Phi and Phi^{-1} are scipy.special's ``ndtr`` and ``ndtri``, imported in
   the solve itself rather than at import: the constant and product models
@@ -209,25 +208,18 @@ class GaussianBandRadius:
         return x, y, (ndtr(-x) - ndtr(-y)) / SQRT2
 
     def _solve_distinct(self, w):
-        """(distinct w, index scattering them back, x, y, r solved on them).
+        """(distinct w, index of each point's slot in w's shape, x, y, r solved on them).
 
         -0.0 and 0.0 share a slot: both give the same results (np.sign is 0).
-        Each NaN takes a slot of its own, and gives NaN.
+        Each NaN takes a slot of its own (equal_nan=False), and gives NaN.
         """
-        flat = w.ravel()
-        order = np.argsort(flat)
-        ws = flat[order]
-        first = np.ones(ws.size, dtype=bool)
-        np.not_equal(ws[1:], ws[:-1], out=first[1:])
-        back = np.empty_like(order)
-        back[order] = np.cumsum(first) - 1
-        wu = ws[first]
-        return wu, back, *self._solve(wu)
+        wu, back = np.unique(w.ravel(), return_inverse=True, equal_nan=False)
+        return wu, back.reshape(w.shape), *self._solve(wu)  # numpy 1.x gives an n-d input's back flat
 
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
         _, back, _, _, r = self._solve_distinct(w)
-        return np.reshape(r[back], w.shape)
+        return r[back]
 
     def jet(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
@@ -236,7 +228,7 @@ class GaussianBandRadius:
         py = std_normal_pdf(y)
         r_w = np.sign(wu) * (py - px) / (py + px)
         r_ww = -self.d * (1.0 - r_w * r_w) / (SQRT2 * (px + py))
-        r, r_w, r_ww = (np.reshape(a[back], w.shape) for a in (r, r_w, r_ww))
+        r, r_w, r_ww = r[back], r_w[back], r_ww[back]
         zero = np.zeros_like(r)
         return r, r_w, zero, r_ww, zero
 

@@ -3,15 +3,18 @@
 Three gates, evaluated on grids:
 
 * positivity of r on the interior lattice;
-* the exact pointwise quadratic criterion: after dividing the density's
-  sign condition by g'' > 0, nonnegativity at a point is equivalent to
-  p(rho) = a*rho^2 + b*rho + c >= 0 on [-1, 1] with
+* the quadratic criterion: dividing by g'' > 0, the density at a point
+  with rho = t/r in (-1, 1) has the sign of p(rho) = a*rho^2 + b*rho + c,
 
       a = r_t^2 - r_n^2 - D,  b = -2*r_t,  c = 1 + D,
       D = r*(r_tt - r_nn)/3,
 
   where t is the band coordinate and n the transverse one, as
-  ``Orientation.band_jet`` (geometry) maps them from the model's (w, z) jet;
+  ``Orientation.band_jet`` (geometry) maps them from the model's (w, z) jet.
+  The gate asks p >= 0 on all of [-1, 1] at each lattice point.  Only where
+  the jet is constant across the band (the gaussian band in UPPER_M) is that
+  equivalent to density >= 0 there; elsewhere (product models) it is
+  sufficient, not necessary, and its verdict can change with grid_n;
 * boundary containment: |t| >= r on the boundary of the diamond, which is
   what makes the averaged bound coincide with the sharp bound there and
   keeps the marginals uniform.

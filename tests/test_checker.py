@@ -181,3 +181,23 @@ def test_one_node_lowered_by_1e_8_fails_the_volume_clause(monkeypatch):
     assert report.boundary_max_err <= 1e-8 and report.frechet_ok
     assert report.min_density >= -1e-10
     assert report.verdict is False
+
+
+def test_one_node_raised_by_1e_8_above_m_fails_the_frechet_clause(monkeypatch):
+    # C = M at an interior node off the band; 1e-8 above it is outside the
+    # 1e-12 slack the ordering C <= M allows
+    import fhsmooth.checker as checker
+
+    spec = CopulaSpec("smoothed_upper", product_radius([0.25, 0, -0.5], epsilon=0.2))
+    xs = np.linspace(0.0, 1.0, 64)
+    nu, nv = xs[10], xs[50]
+    assert copula_values(spec, nu, nv) == min(nu, nv)
+
+    def raised(spec, u, v):
+        return copula_values(spec, u, v) + 1e-8 * ((u == nu) & (v == nv))
+
+    monkeypatch.setattr(checker, "copula_values", raised)
+    report = check_copula(spec, 64)
+    assert report.frechet_ok is False
+    assert report.boundary_max_err <= 1e-8
+    assert report.verdict is False

@@ -246,6 +246,19 @@ def test_model_json_with_a_key_of_another_kind_exits_two(capsys):
     assert (code, out) == (2, "") and "epsilonn" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('["kind"]', "radius JSON must be an object"),
+    ('{"kind":"constant","r0":null}', "bad radius parameters"),
+    ('{"kind":"product","p":5,"epsilon":0.1}', "bad radius parameters"),
+])
+def test_model_json_of_the_wrong_shape_exits_two(capsys, tmp_path, text, message):
+    # read from a file, since an inline --radius must start with "{"
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--copula", "mbar", "--radius", str(path), "--u", "0.5", "--v", "0.5")
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
+
 def test_file_errors_exit_two(capsys, tmp_path):
     # a missing or unreadable --radius path and an --out in a missing directory
     # are input errors (2), reported on stderr, not a traceback or a failed check (1)

@@ -351,3 +351,24 @@ def test_large_calls_have_a_bounded_working_set(f, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mb * 1e6, peak
+
+
+class Flat:
+    """r = r0 everywhere, for the value rule at the corners of the singular axis."""
+
+    def __init__(self, r0):
+        self.r0 = r0
+
+    def radius(self, w, z):
+        return np.full(np.shape(w), self.r0)
+
+
+def test_a_corner_radius_above_1e_12_is_a_radius():
+    # at (0, 0) and (1, 1) the band coordinate is 0, so the closed form is
+    # M -+ r*g(0)/sqrt(2); r = 1e-10 is above the 1e-12 residue bound and takes
+    # it, while r = 1e-13 is a rounding residue and gives the sharp bound
+    u = np.array([0.0, 1.0])
+    shift = 1e-10 * G0 / SQRT2
+    values = copula_values(CopulaSpec("smoothed_upper", Flat(1e-10)), u, u)
+    assert values - u == pytest.approx([-shift, -shift], rel=1e-4, abs=0)
+    assert copula_values(CopulaSpec("smoothed_upper", Flat(1e-13)), u, u).tolist() == [0.0, 1.0]

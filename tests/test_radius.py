@@ -376,6 +376,29 @@ def test_json_errors():
         model_from_json({"kind": "product", "p": [0.25, 0, -0.2], "epsilon": 0.3, "q": [5, 1]})
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"kind"', '["kind"]', '{"d": 1.0}'])
+def test_json_that_is_not_an_object_with_a_kind_is_rejected(text):
+    # a string or a list holding "kind" passes an `in` test, and a number fails it with TypeError
+    with pytest.raises(ModelSpecError, match="must be an object with a 'kind' key"):
+        model_from_json(text)
+
+
+@pytest.mark.parametrize("text", ['{"kind":"constant","r0":null}', '{"kind":"product","p":5,"epsilon":0.1}'])
+def test_json_parameters_of_the_wrong_shape_are_a_model_spec_error(text):
+    # the number check lets null and a bare p through; building the model raises TypeError
+    with pytest.raises(ModelSpecError, match="bad radius parameters"):
+        model_from_json(text)
+
+
+@pytest.mark.parametrize("p, q", [
+    ([], [1.0]), ([0.25, math.nan], [1.0]), ([0.25], []), ([0.25], [1.0, math.inf]),
+])
+def test_product_coefficients_must_be_a_nonempty_list_of_finite_reals(p, q):
+    # np.min over a NaN sweep is NaN, which `<= 0` lets pass; an empty list has no polynomial
+    with pytest.raises(ModelSpecError, match="must be a nonempty list of finite reals"):
+        product_radius(p, q=q)
+
+
 @pytest.mark.parametrize("text, key", [
     ('{"kind":"product","p":"3","epsilon":0.3}', "p"),  # a string is iterable: p = [3]
     ('{"kind":"product","p":[0.25,0,-0.2],"q":"1"}', "q"),

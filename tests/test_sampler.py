@@ -225,3 +225,18 @@ def test_conditional_inverse_rejects_points_outside_the_square(u, t):
 
 def test_conditional_inverse_empty():
     assert conditional_inverse(GAUSS, np.array([]), np.array([])).shape == (0,)
+
+
+def test_conditional_inverse_step_cap_returns_each_pairs_best_bracket_end(monkeypatch):
+    # with a cap of one step f is evaluated at v = 1/2 only; no pair is within
+    # tolerance there, and each returns whichever of 1/2 and the end still
+    # bracketing its root has the smaller |f|, not the initial v = 0
+    u, t = np.array([0.9, 0.2, 0.5]), np.array([0.7, 0.3, 0.49])
+    f_half = copula_partials(GAUSS, u, np.full(3, 0.5))[0] - t  # about -0.7, 0.66 and 0.01
+    end, f_end = np.where(f_half < 0, 1.0, 0.0), np.where(f_half < 0, 1.0 - t, -t)
+    best = np.where(np.abs(f_half) < np.abs(f_end), 0.5, end)
+    assert best.tolist() == [1.0, 0.0, 0.5]
+    monkeypatch.setattr(sampler, "_MAX_STEPS", 1)
+    calls = _record_partials(monkeypatch)
+    assert np.array_equal(conditional_inverse(GAUSS, u, t), best)
+    assert len(calls) == 1

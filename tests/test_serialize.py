@@ -119,6 +119,30 @@ def test_write_output_slices_give_stdout_and_file_the_same_bytes(capsys, tmp_pat
     assert (tmp_path / "out.csv").read_bytes() == out.encode()
 
 
+def _fail_after_one_slice(fh, text):
+    fh.write(text[: serialize._WRITE_CHARS])
+    raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("target, fail", [("out.csv", "write"), ("taken", "rename")])
+def test_write_output_failure_leaves_no_temp_file_and_the_target_untouched(monkeypatch, tmp_path, target, fail):
+    # a write that fails after its first slice, and a rename onto a directory:
+    # the temp file is removed and the error reaches the caller
+    path = tmp_path / target
+    if fail == "write":
+        path.write_text("old\n")
+        monkeypatch.setattr(serialize, "_write_slices", _fail_after_one_slice)
+    else:
+        path.mkdir()
+    with pytest.raises(OSError):
+        write_output("0.5\n" * serialize._WRITE_CHARS, path)
+    assert not list(tmp_path.glob(".fhsmooth-*"))
+    if fail == "write":
+        assert path.read_text() == "old\n"
+    else:
+        assert path.is_dir() and not list(path.iterdir())
+
+
 def traced_peak(call):
     """(result, tracemalloc peak in bytes) of call()."""
     tracemalloc.start()

@@ -254,3 +254,35 @@ def test_validated_models_have_nonnegative_density():
         assert validate_model(model, orientation, 32).verdict
         dens = copula_density(CopulaSpec(family, model), uu, vv)
         assert np.min(dens) >= -1e-10
+
+
+class DippedGaussian:
+    """The gaussian band (d = 1), but at one point a jet whose quadratic has minimum c = -1e-8.
+
+    There r_t = r_n = r_tt = 0 and r_nn = 3*(1 + 1e-8)/r (UPPER_M: t = z,
+    n = w), so D = -(1 + 1e-8): a = 1 + 1e-8 > 0, b = 0, and the vertex
+    value c = 1 + D is the minimum.
+    """
+
+    def __init__(self, w0, z0):
+        self.base, self.w0, self.z0 = gaussian_band_radius(1.0), w0, z0
+
+    def radius(self, w, z):
+        return self.base.radius(w, z)
+
+    def jet(self, w, z):
+        r, r_w, r_z, r_ww, r_zz = self.base.jet(w, z)  # r_z = r_zz = 0
+        at = (w == self.w0) & (z == self.z0)
+        return r, np.where(at, 0.0, r_w), r_z, np.where(at, 3.0 * (1.0 + 1e-8) / r, r_ww), r_zz
+
+
+def test_validate_fails_a_quadratic_minimum_of_minus_1e_8():
+    # 1e4 x the -1e-12 tolerance; the other gates pass as for the gaussian band
+    mids = (np.arange(64) + 0.5) / 64
+    w0, z0 = (float(x) for x in uv_to_wz(mids[20], mids[40]))
+    report = validate_model(DippedGaussian(w0, z0), UP, 64)
+    assert report.quadratic_pass is False
+    assert report.worst_margin == pytest.approx(-1e-8, rel=1e-6)
+    assert report.worst_point == DiamondPoint(w0, z0)
+    assert report.positivity_pass and report.containment_pass
+    assert report.verdict is False
