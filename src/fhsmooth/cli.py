@@ -137,11 +137,9 @@ def _dispatch(parser, args) -> int:
             write_output(csv_text("u,v", batch.pairs), args.out)
         return 0
 
-    if args.command == "band":
-        write_output(json_text(asdict(support_band(model, args.w))), args.out)
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
+    # band: the parser admits no other command
+    write_output(json_text(asdict(support_band(model, args.w))), args.out)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,11 +107,11 @@ class ConstantRadius:
 
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))
-        return np.full_like(w, self.r0)
+        return np.full_like(w, self.r0)[()]  # [()]: a 0-d result as np.float64, as polyval gives
 
     def jet(self, w, z):
         r = self.radius(w, z)
-        zero = np.zeros_like(r)
+        zero = np.zeros_like(r)[()]
         return r, zero, zero, zero, zero
 
 
@@ -229,7 +230,7 @@ class GaussianBandRadius:
         r_w = np.sign(wu) * (py - px) / (py + px)
         r_ww = -self.d * (1.0 - r_w * r_w) / (SQRT2 * (px + py))
         r, r_w, r_ww = r[back], r_w[back], r_ww[back]
-        zero = np.zeros_like(r)
+        zero = np.zeros_like(r)[()]
         return r, r_w, zero, r_ww, zero
 
 
@@ -297,8 +298,15 @@ def support_band(model, w: float) -> SupportBand:
     return SupportBand(w, lower, upper, kappa)
 
 
-#: The keys each kind of model JSON takes besides "kind".
+#: The keys each kind of model JSON takes besides "kind"; the first one is required.
 _JSON_KEYS = {"constant": ("r0",), "product": ("p", "epsilon", "q"), "gaussian_band": ("d",)}
+
+
+def _is_number(x) -> bool:
+    """A JSON number float() takes: not a boolean, and an int only within the float range."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, float)
 
 
 def model_from_json(source) -> object:
@@ -311,15 +319,16 @@ def model_from_json(source) -> object:
         {"kind": "product", "p": [...], "q": [...]}
         {"kind": "gaussian_band", "d": 1.0}
 
-    Polynomial coefficients are low-to-high degree.  Numbers must be JSON
-    numbers: a string or a boolean where one is due raises ModelSpecError,
-    as does a key outside the kind's own set (a misspelled "epsilon" would
-    otherwise be dropped without a word).
+    Polynomial coefficients are low-to-high degree.  A string, boolean, null
+    or out-of-range integer where a number (or, for p and q, a list of
+    numbers) is due raises ModelSpecError, as do a missing r0, p or d and a
+    key outside the kind's own set (a misspelled "epsilon" would otherwise
+    be dropped without a word).
     """
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over Python's digit limit
             raise ModelSpecError(f"invalid radius JSON: {exc}") from exc
     else:
         obj = source
@@ -332,24 +341,19 @@ def model_from_json(source) -> object:
     unknown = [key for key in obj if key != "kind" and key not in keys]
     if unknown:
         raise ModelSpecError(f"radius JSON kind {kind!r} takes only {list(keys)}; got {unknown}")
-    for key in keys:
-        x, many = obj.get(key), key in ("p", "q")
-        items = x if many and isinstance(x, (list, tuple)) else [x]
-        if x is not None and not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in items):
+    if keys[0] not in obj:
+        raise ModelSpecError(f"radius JSON missing key {keys[0]!r} for kind {kind!r}")
+    for key, x in obj.items():
+        many = key in ("p", "q")
+        ok = isinstance(x, (list, tuple)) and all(map(_is_number, x)) if many else _is_number(x)
+        if key != "kind" and not ok:
             want = "a list of numbers" if many else "a number"
             raise ModelSpecError(f"radius JSON {key!r} must be {want}, got {x!r}")
-    try:
-        if kind == "constant":
-            return constant_radius(obj["r0"])
-        if kind == "product":
-            return product_radius(obj["p"], epsilon=obj.get("epsilon"), q=obj.get("q"))
-        return gaussian_band_radius(obj["d"])
-    except KeyError as exc:
-        raise ModelSpecError(f"radius JSON missing key {exc} for kind {kind!r}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ModelSpecError):
-            raise
-        raise ModelSpecError(f"bad radius parameters: {exc}") from exc
+    if kind == "constant":
+        return constant_radius(obj["r0"])
+    if kind == "product":
+        return product_radius(obj["p"], epsilon=obj.get("epsilon"), q=obj.get("q"))
+    return gaussian_band_radius(obj["d"])
 
 
 def model_to_json(model) -> dict:

@@ -201,3 +201,23 @@ def test_one_node_raised_by_1e_8_above_m_fails_the_frechet_clause(monkeypatch):
     assert report.frechet_ok is False
     assert report.boundary_max_err <= 1e-8
     assert report.verdict is False
+
+
+@pytest.mark.parametrize("err", [2e-12, -2e-12, 1e-8, -1e-8])
+@pytest.mark.parametrize("axis, at", [("u", 0.0), ("v", 0.0), ("u", 1.0), ("v", 1.0)])
+def test_a_boundary_error_fails_the_frechet_clause(monkeypatch, axis, at, err):
+    # on the lattice's edges W = M up to one rounding, so an error twice the
+    # ordering's 1e-12 slack already fails it: no boundary error can reach the
+    # verdict by another clause, and boundary_max_err is reported, not gated
+    import fhsmooth.checker as checker
+
+    spec = CopulaSpec("smoothed_upper", product_radius([0.25, 0, -0.5], epsilon=0.2))
+    assert check_copula(spec, 64).verdict
+
+    def shifted(spec, u, v):
+        return copula_values(spec, u, v) + err * ((u if axis == "u" else v) == at)
+
+    monkeypatch.setattr(checker, "copula_values", shifted)
+    report = check_copula(spec, 64)
+    assert report.frechet_ok is False and report.verdict is False
+    assert report.boundary_max_err == pytest.approx(abs(err), abs=1e-15)  # up to C's rounding

@@ -246,17 +246,30 @@ def test_model_json_with_a_key_of_another_kind_exits_two(capsys):
     assert (code, out) == (2, "") and "epsilonn" in err
 
 
+BIG = "1" + "0" * 400  # a JSON integer beyond the float range: float() raises OverflowError
+
+
 @pytest.mark.parametrize("text, message", [
     ('["kind"]', "radius JSON must be an object"),
-    ('{"kind":"constant","r0":null}', "bad radius parameters"),
-    ('{"kind":"product","p":5,"epsilon":0.1}', "bad radius parameters"),
+    ('{"kind":"constant","r0":null}', "radius JSON 'r0' must be a number"),
+    ('{"kind":"product","p":5,"epsilon":0.1}', "radius JSON 'p' must be a list of numbers"),
+    ('{"kind":"gaussian_band","d":null}', "radius JSON 'd' must be a number"),
+    ('{"kind":"product","p":[0.25,0,-0.2],"epsilon":null,"q":[1,0.1]}', "radius JSON 'epsilon' must be a number"),
+    ('{"kind":"product","p":[1,"x"],"epsilon":0.1}', "radius JSON 'p' must be a list of numbers"),
+    pytest.param('{"kind":"constant","r0":%s}' % BIG, "radius JSON 'r0' must be a number", id="r0-400-digits"),
+    pytest.param('{"kind":"product","p":[%s],"epsilon":0.1}' % BIG, "radius JSON 'p' must be a list", id="p-400-digits"),
+    pytest.param('{"kind":"constant","r0":1%s}' % ("0" * 5000), "invalid radius JSON", id="r0-5001-digits"),
+    ('{"kind":"constant"}', "radius JSON missing key 'r0'"),
+    ('{"kind":"gaussian_band"}', "radius JSON missing key 'd'"),
+    ('{"kind":"product","q":[1]}', "radius JSON missing key 'p'"),
 ])
 def test_model_json_of_the_wrong_shape_exits_two(capsys, tmp_path, text, message):
-    # read from a file, since an inline --radius must start with "{"
+    # read from a file, since an inline --radius must start with "{"; each is one
+    # error line with exit 2, not Python's TypeError text or an OverflowError traceback
     path = tmp_path / "model.json"
     path.write_text(text)
     code, out, err = run(capsys, "eval", "--copula", "mbar", "--radius", str(path), "--u", "0.5", "--v", "0.5")
-    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_file_errors_exit_two(capsys, tmp_path):

