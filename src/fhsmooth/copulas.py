@@ -48,32 +48,26 @@ from .geometry import SQRT2, Orientation, SquarePoint, diamond_margin, orientati
 from .kernel import kernel_arrays
 from .radius import RadiusEvalError
 
-FH_FAMILIES = ("fh_lower", "fh_upper")
-SMOOTHED_FAMILIES = ("smoothed_lower", "smoothed_upper")
-FAMILIES = FH_FAMILIES + SMOOTHED_FAMILIES
-
 _BOUNDARY_TOL = 1e-12
 _BLOCK = 2**15  # points per pass; its temporaries then fit a core's L2 cache
 
 
 @dataclass(frozen=True)
 class CopulaSpec:
-    """Which copula is being evaluated; smoothed families carry a radius model."""
+    """A copula: its family, and a radius model iff it is smoothed (a ``smoothed_*`` family)."""
 
     family: str
     model: Optional[object] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family in SMOOTHED_FAMILIES and self.model is None:
-            raise ValueError(f"family {self.family!r} requires a radius model")
-        if self.family in FH_FAMILIES and self.model is not None:
-            raise ValueError(f"family {self.family!r} does not take a radius model")
+        orientation_for_family(self.family)  # ValueError on an unknown family
+        if self.family.startswith("smoothed_") != self.smoothed:
+            need = "requires" if self.model is None else "does not take"
+            raise ValueError(f"family {self.family!r} {need} a radius model")
 
     @property
     def smoothed(self) -> bool:
-        return self.family in SMOOTHED_FAMILIES
+        return self.model is not None
 
     @property
     def orientation(self) -> Orientation:

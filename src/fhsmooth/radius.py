@@ -46,7 +46,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -84,12 +84,14 @@ class SupportBand:
     kappa: float  # upper/|lower|; +inf sentinel when lower >= 0
 
 
-def _sweep_positive(coeffs, label: str):
-    vals = npoly.polyval(_SWEEP_XS, coeffs)
-    if np.min(vals) <= 0.0:
-        idx = int(np.argmin(vals))
+def _require_sweep(vals, label: str):
+    """ModelSpecError unless vals, taken at _SWEEP_XS, are strictly positive and finite."""
+    idx, want = vals.argmin(), "strictly positive"  # methods: np.argmin's dispatch costs more than the search
+    if vals[idx] > 0.0:
+        idx, want = vals.argmax(), "finite"
+    if not 0.0 < vals[idx] < math.inf:
         raise ModelSpecError(
-            f"{label} must be strictly positive across the diamond; "
+            f"{label} must be {want} across the diamond; "
             f"found {float(vals[idx])!r} at {float(_SWEEP_XS[idx])!r}"
         )
 
@@ -126,13 +128,18 @@ class ProductRadius:
 
     def __post_init__(self):
         for name in ("p_coeffs", "q_coeffs"):
-            raw = getattr(self, name)
-            coeffs = tuple(float(c) for c in raw)
+            coeffs = tuple(float(c) for c in getattr(self, name))
             if not coeffs or not all(math.isfinite(c) for c in coeffs):
                 raise ModelSpecError(f"{name} must be a nonempty list of finite reals")
             object.__setattr__(self, name, coeffs)
-        _sweep_positive(self.p_coeffs, "p(w)")
-        _sweep_positive(self.q_coeffs, "q(z)")
+        with np.errstate(over="ignore"):  # an overflow is a ModelSpecError below, not a warning
+            p, q = (npoly.polyval(_SWEEP_XS, c) for c in (self.p_coeffs, self.q_coeffs))
+            top = p * q.max()  # at each w, r's largest value over z: on the square, and where that
+            if top.max() == math.inf:  # overflows, on the diamond (fold[k]: q's largest within k steps of z = 0)
+                fold = np.maximum.accumulate(np.maximum(q[_SWEEP_POINTS // 2 :], q[_SWEEP_POINTS // 2 :: -1]))
+                top = p * np.concatenate((fold, fold[-2::-1]))
+        for vals, label in ((p, "p(w)"), (q, "q(z)"), (top, "max over z of r(w, z)")):
+            _require_sweep(vals, label)
 
     @functools.cached_property
     def _derivs(self):
@@ -243,9 +250,8 @@ def product_radius(p, epsilon: float = None, q=None) -> ProductRadius:
     if (epsilon is None) == (q is None):
         raise ModelSpecError("provide exactly one of epsilon or q")
     if epsilon is not None:
-        q_coeffs = (1.0, SQRT2 * float(epsilon))
-        return ProductRadius(tuple(p), q_coeffs, epsilon=float(epsilon))
-    return ProductRadius(tuple(p), tuple(q), epsilon=None)
+        return ProductRadius(tuple(p), (1.0, SQRT2 * float(epsilon)), epsilon=float(epsilon))
+    return ProductRadius(tuple(p), tuple(q))
 
 
 def gaussian_band_radius(d: float) -> GaussianBandRadius:
@@ -298,8 +304,12 @@ def support_band(model, w: float) -> SupportBand:
     return SupportBand(w, lower, upper, kappa)
 
 
-#: The keys each kind of model JSON takes besides "kind"; the first one is required.
-_JSON_KEYS = {"constant": ("r0",), "product": ("p", "epsilon", "q"), "gaussian_band": ("d",)}
+#: kind -> (factory, its JSON keys besides "kind"): the factory's keyword names, the first required
+_KINDS = {
+    "constant": (constant_radius, ("r0",)),
+    "product": (product_radius, ("p", "epsilon", "q")),
+    "gaussian_band": (gaussian_band_radius, ("d",)),
+}
 
 
 def _is_number(x) -> bool:
@@ -310,9 +320,9 @@ def _is_number(x) -> bool:
 
 
 def model_from_json(source) -> object:
-    """Build a radius model from a JSON object or its text form.
+    """Build a radius model from a JSON object or its text form, in one call to its kind's factory.
 
-    Accepted shapes::
+    Accepted shapes (each key but "kind" is a keyword of the factory, ``_KINDS``)::
 
         {"kind": "constant", "r0": 0.2}
         {"kind": "product", "p": [0.25, 0, -0.2], "epsilon": 0.3}
@@ -335,9 +345,9 @@ def model_from_json(source) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ModelSpecError("radius JSON must be an object with a 'kind' key")
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _JSON_KEYS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ModelSpecError(f"unknown radius kind {kind!r}")
-    keys = _JSON_KEYS[kind]
+    factory, keys = _KINDS[kind]
     unknown = [key for key in obj if key != "kind" and key not in keys]
     if unknown:
         raise ModelSpecError(f"radius JSON kind {kind!r} takes only {list(keys)}; got {unknown}")
@@ -348,22 +358,17 @@ def model_from_json(source) -> object:
         ok = isinstance(x, (list, tuple)) and all(map(_is_number, x)) if many else _is_number(x)
         if key != "kind" and not ok:
             want = "a list of numbers" if many else "a number"
-            raise ModelSpecError(f"radius JSON {key!r} must be {want}, got {x!r}")
-    if kind == "constant":
-        return constant_radius(obj["r0"])
-    if kind == "product":
-        return product_radius(obj["p"], epsilon=obj.get("epsilon"), q=obj.get("q"))
-    return gaussian_band_radius(obj["d"])
+            try:
+                got = repr(x)
+            except ValueError:  # an int over Python's digit limit: a dict can hold one, JSON text cannot
+                got = "an integer too long to print"
+            raise ModelSpecError(f"radius JSON {key!r} must be {want}, got {got}")
+    return factory(**{key: obj[key] for key in keys if key in obj})
 
 
 def model_to_json(model) -> dict:
-    """Inverse of model_from_json (dict form)."""
-    if model.kind == "constant":
-        return {"kind": "constant", "r0": model.r0}
-    if model.kind == "gaussian_band":
-        return {"kind": "gaussian_band", "d": model.d}
-    if model.kind == "product":
-        if model.epsilon is not None:
-            return {"kind": "product", "p": list(model.p_coeffs), "epsilon": model.epsilon}
-        return {"kind": "product", "p": list(model.p_coeffs), "q": list(model.q_coeffs)}
-    raise ModelSpecError(f"unsupported model kind {model.kind!r}")
+    """Inverse of model_from_json (dict form); a product model keeps the epsilon or q it was built from."""
+    if model.kind != "product":
+        return {"kind": model.kind, **asdict(model)}  # its one field is its JSON key
+    skew = {"q": list(model.q_coeffs)} if model.epsilon is None else {"epsilon": model.epsilon}
+    return {"kind": "product", "p": list(model.p_coeffs), **skew}

@@ -36,13 +36,33 @@ VALID_LOWER = [
 ]
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        CopulaSpec("smoothed_upper")  # model required
-    with pytest.raises(ValueError):
-        CopulaSpec("fh_upper", constant_radius(0.2))  # model forbidden
-    with pytest.raises(ValueError):
-        CopulaSpec("upper")
+R02 = constant_radius(0.2)
+LOWER, UPPER = Orientation.LOWER_W, Orientation.UPPER_M
+SPEC_CASES = [
+    ("fh_lower", None, (False, LOWER)),
+    ("fh_upper", None, (False, UPPER)),
+    ("smoothed_lower", R02, (True, LOWER)),
+    ("smoothed_upper", R02, (True, UPPER)),
+    ("fh_lower", R02, "family 'fh_lower' does not take a radius model"),
+    ("fh_upper", R02, "family 'fh_upper' does not take a radius model"),
+    ("smoothed_lower", None, "family 'smoothed_lower' requires a radius model"),
+    ("smoothed_upper", None, "family 'smoothed_upper' requires a radius model"),
+    ("upper", None, "no orientation for family 'upper'"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, model, want", SPEC_CASES, ids=[f"{f}-{'none' if m is None else 'model'}" for f, m, _ in SPEC_CASES]
+)
+def test_spec_validation(family, model, want):
+    # a spec is smoothed iff it carries a model; a valid pair keeps its family's
+    # orientation, and a mismatched pair or an unknown family is a ValueError
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            CopulaSpec(family, model)
+    else:
+        spec = CopulaSpec(family, model)
+        assert (spec.smoothed, spec.orientation) == want
 
 
 def test_fh_values():

@@ -1,5 +1,6 @@
 """Hypothesis properties: the model JSON round trip, rectangle volumes, and the
-closed forms against the disc-average oracle and against finite differences."""
+closed forms against the disc-average oracle, against finite differences of
+themselves, and (the density) against finite differences of the oracle."""
 
 import json
 
@@ -8,9 +9,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from band_helpers import rectangle_volume
-from fhsmooth.copulas import CopulaSpec, copula_partials, copula_values
-from fhsmooth.geometry import DiamondPoint, uv_to_wz
-from fhsmooth.oracle import OracleRequest, disc_average
+from fhsmooth.copulas import CopulaSpec, copula_density, copula_partials, copula_values
+from fhsmooth.geometry import DIAMOND_RADIUS, DiamondPoint, diamond_margin, uv_to_wz, wz_to_uv
+from fhsmooth.oracle import OracleRequest, disc_average, fd_second_partials
 from fhsmooth.radius import (
     constant_radius,
     gaussian_band_radius,
@@ -97,3 +98,35 @@ def test_boundary_values_lie_on_both_sharp_bounds(spec, t, edge, on_u):
     c = float(copula_values(spec, u, v))
     for bound in (CopulaSpec("fh_lower"), CopulaSpec("fh_upper")):
         assert abs(c - float(copula_values(bound, u, v))) <= 1e-12
+
+
+FD_STEP = 1e-3
+FD_ORACLE_TOL = 1e-12  # the oracle's rel_tol: each value it gives is off by at most this much
+
+
+def _oracle_density(spec, w, z, h):
+    """(C_ww - C_zz)/2 by central differences of the disc-average oracle, step h."""
+    sharp = spec.family.replace("smoothed", "fh")
+
+    def c(a, b):
+        return disc_average(OracleRequest(sharp, DiamondPoint(a, b), float(spec.model.radius(a, b)), FD_ORACLE_TOL))
+
+    c_ww, c_zz = fd_second_partials(c, DiamondPoint(w, z), h)
+    return 0.5 * (c_ww - c_zz)
+
+
+@given(candidates, st.floats(-0.85 * DIAMOND_RADIUS, 0.85 * DIAMOND_RADIUS), st.floats(-0.7, 0.7))
+def test_density_matches_oracle_differences(spec, s, frac):
+    # where C is smooth: |rho| <= 0.7 inside the band and 0.1/sqrt(2) inside the
+    # diamond, as the benchmark's density check picks its rows.  The point is t =
+    # frac*r(t = 0) across the band at s along it.  The tolerance is the two-step
+    # bound: the Richardson estimate |D(h) - D(2h)| plus the oracle's rounding,
+    # 4*rel_tol/h^2, through each difference quotient
+    o = spec.orientation
+    t = frac * float(spec.model.radius(*o.swap(0.0, s)))
+    w, z = (float(x) for x in o.swap(t, s))
+    assume(abs(t / float(spec.model.radius(w, z))) <= 0.7 and diamond_margin(w, z) >= 0.1 * DIAMOND_RADIUS)
+    h = FD_STEP
+    d1, d2 = _oracle_density(spec, w, z, h), _oracle_density(spec, w, z, 2.0 * h)
+    tol = abs(d1 - d2) + 4.0 * FD_ORACLE_TOL * (1.0 / h**2 + 1.0 / (2.0 * h) ** 2)
+    assert abs(float(copula_density(spec, *wz_to_uv(w, z))) - d1) <= tol

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import namedtuple
 
 import mpmath
@@ -377,6 +378,13 @@ def test_json_round_trip():
     for m in models:
         again = model_from_json(json.dumps(model_to_json(m)))
         assert again == m
+    # the exact dicts, key order included: the text a model's JSON is written as
+    assert [list(model_to_json(m).items()) for m in models] == [
+        [("kind", "constant"), ("r0", 0.2)],
+        [("kind", "product"), ("p", [0.25, 0.0, -0.2]), ("epsilon", 0.3)],
+        [("kind", "product"), ("p", [1.0]), ("q", [0.25, 0.0, -0.5])],
+        [("kind", "gaussian_band"), ("d", 1.0)],
+    ]
 
 
 def test_json_errors():
@@ -482,6 +490,44 @@ def test_sweep_finds_a_narrow_negative_dip():
         product_radius([x0 * x0 - delta * delta, -2 * x0, 1.0], q=[1.0])
     found, at = (float(x) for x in str(info.value).split("found ")[1].split(" at "))
     assert -delta * delta <= found < 0 and abs(at - x0) < delta
+
+
+@pytest.mark.parametrize("p, q, label", [
+    ([1e308, 1e308, 1e308], [1.0, 0.0], "p(w)"),  # p overflows on the sweep itself
+    ([1.0], [1e308, 1e308, 1e308], "q(z)"),
+    ([1e300], [1e300], "max over z of r(w, z)"),  # p and q pass, their product does not
+    ([1e300], [1.0] + [0.0] * 11 + [1e308], "max over z of r(w, z)"),  # q(z) large only where |z| is
+], ids=["p", "q", "p-times-q", "p-times-q-off-the-axis"])
+def test_sweep_rejects_a_radius_that_overflows(p, q, label):
+    # each was accepted before, and then warned of the overflow and failed at the first
+    # evaluation; the error names the factor, or r itself, and a point where it is inf
+    with pytest.raises(ModelSpecError, match=rf"^{re.escape(label)} must be finite across the diamond") as info:
+        product_radius(p, q=q)
+    found, at = str(info.value).split("found ")[1].split(" at ")
+    assert float(found) == math.inf and abs(float(at)) <= L
+
+
+def test_sweep_accepts_a_radius_finite_on_the_diamond():
+    # p and q each peak at 1e155 where |w| or |z| = 1/sqrt(2), so max p * max q = 1e310
+    # overflows; but |w| + |z| <= 1/sqrt(2) on the diamond, where r peaks near 1e310/256
+    big = [1.0, 0.0, 0.0, 0.0, 1e155 / L**4]
+    m = product_radius(big, q=big)
+    w = np.linspace(-L, L, 1001)
+    for z in (L - np.abs(w), np.zeros_like(w)):
+        assert np.all(np.isfinite(m.radius(w, z)))
+    assert float(m.radius(L / 2, L / 2)) > 1e307 and float(m.radius(L, 0.0)) > 1e154
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"kind": "constant", "r0": 10**5000}, "r0"),
+    ({"kind": "product", "p": [0.25, 10**5000], "epsilon": 0.1}, "p"),
+], ids=["r0", "p"])
+def test_json_dict_with_an_integer_over_the_digit_limit_names_the_key(obj, key):
+    # JSON text cannot carry such an integer, a dict can; formatting its digits
+    # raised a plain ValueError from inside the message itself
+    with pytest.raises(ModelSpecError, match=f"^radius JSON '{key}' must be a") as info:
+        model_from_json(obj)
+    assert "0" * 50 not in str(info.value)
 
 
 # High-precision pins for the gaussian band.  The double w is taken as
