@@ -26,7 +26,12 @@ from .sampler import InvalidModelError, sample_batch, to_gaussian
 from .serialize import csv_text, format_float, json_text, write_output
 from .validator import validate_model
 
-_COPULAS = {"w": "fh_lower", "m": "fh_upper", "wbar": "smoothed_lower", "mbar": "smoothed_upper"}
+_COPULAS = {
+    "w": "fh_lower",
+    "m": "fh_upper",
+    "wbar": "smoothed_lower",
+    "mbar": "smoothed_upper",
+}
 _SMOOTHED = ["mbar", "wbar"]
 
 

@@ -128,18 +128,19 @@ class ProductRadius:
 
     def __post_init__(self):
         for name in ("p_coeffs", "q_coeffs"):
-            coeffs = tuple(float(c) for c in getattr(self, name))
+            raw = getattr(self, name)
+            coeffs = tuple(float(c) for c in raw)
             if not coeffs or not all(math.isfinite(c) for c in coeffs):
                 raise ModelSpecError(f"{name} must be a nonempty list of finite reals")
             object.__setattr__(self, name, coeffs)
         with np.errstate(over="ignore"):  # an overflow is a ModelSpecError below, not a warning
             p, q = (npoly.polyval(_SWEEP_XS, c) for c in (self.p_coeffs, self.q_coeffs))
-            top = p * q.max()  # at each w, r's largest value over z: on the square, and where that
-            if top.max() == math.inf:  # overflows, on the diamond (fold[k]: q's largest within k steps of z = 0)
-                fold = np.maximum.accumulate(np.maximum(q[_SWEEP_POINTS // 2 :], q[_SWEEP_POINTS // 2 :: -1]))
-                top = p * np.concatenate((fold, fold[-2::-1]))
-        for vals, label in ((p, "p(w)"), (q, "q(z)"), (top, "max over z of r(w, z)")):
-            _require_sweep(vals, label)
+            _require_sweep(p, "p(w)")
+            _require_sweep(q, "q(z)")
+            # r's largest value over z at each w on the diamond (fold[k]: q's largest within k steps of
+            # z = 0); p and q are positive and finite here, so it overflows to +inf and never to NaN
+            fold = np.maximum.accumulate(np.maximum(q[_SWEEP_POINTS // 2 :], q[_SWEEP_POINTS // 2 :: -1]))
+            _require_sweep(p * np.concatenate((fold, fold[-2::-1])), "max over z of r(w, z)")
 
     @functools.cached_property
     def _derivs(self):
@@ -250,8 +251,9 @@ def product_radius(p, epsilon: float = None, q=None) -> ProductRadius:
     if (epsilon is None) == (q is None):
         raise ModelSpecError("provide exactly one of epsilon or q")
     if epsilon is not None:
-        return ProductRadius(tuple(p), (1.0, SQRT2 * float(epsilon)), epsilon=float(epsilon))
-    return ProductRadius(tuple(p), tuple(q))
+        q_coeffs = (1.0, SQRT2 * float(epsilon))
+        return ProductRadius(tuple(p), q_coeffs, epsilon=float(epsilon))
+    return ProductRadius(tuple(p), tuple(q), epsilon=None)
 
 
 def gaussian_band_radius(d: float) -> GaussianBandRadius:

@@ -273,17 +273,18 @@ def test_model_json_of_the_wrong_shape_exits_two(capsys, tmp_path, text, message
     assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("radius, label", [
-    ('{"kind":"product","p":[1e308,1e308,1e308],"epsilon":0}', "p(w)"),
-    ('{"kind":"product","p":[1e300],"q":[1e300]}', "max over z of r(w, z)"),
-], ids=["p", "p-times-q"])
-def test_a_radius_that_overflows_exits_two_with_one_line(capsys, radius, label):
-    # before, two numpy RuntimeWarning blocks came first, then "radius undefined at u=0.9, v=0.9"
+@pytest.mark.parametrize("radius, message", [
+    ('{"kind":"product","p":[1e308,1e308,1e308],"epsilon":0}', "p(w) must be finite across the diamond; found inf"),
+    ('{"kind":"product","p":[1e300],"q":[1e300]}', "max over z of r(w, z) must be finite across the diamond; found inf"),
+    ('{"kind":"product","p":[0],"q":[1e308,1e308,1e308]}', "p(w) must be strictly positive across the diamond; found 0.0"),
+], ids=["p", "p-times-q", "p-zero-q-inf"])
+def test_a_radius_that_overflows_exits_two_with_one_line(capsys, radius, message):
+    # before, numpy RuntimeWarning blocks came first: of the overflow, and of 0 * inf where p is 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "eval", "--copula", "mbar", "--radius", radius, "--u", "0.9", "--v", "0.9")
     assert (code, out, caught) == (2, "", [])
-    assert err.startswith(f"error: {label} must be finite across the diamond; found inf at ")
+    assert err.startswith(f"error: {message} at ")
     assert err.count("\n") == 1
 
 

@@ -492,19 +492,22 @@ def test_sweep_finds_a_narrow_negative_dip():
     assert -delta * delta <= found < 0 and abs(at - x0) < delta
 
 
-@pytest.mark.parametrize("p, q, label", [
-    ([1e308, 1e308, 1e308], [1.0, 0.0], "p(w)"),  # p overflows on the sweep itself
-    ([1.0], [1e308, 1e308, 1e308], "q(z)"),
-    ([1e300], [1e300], "max over z of r(w, z)"),  # p and q pass, their product does not
-    ([1e300], [1.0] + [0.0] * 11 + [1e308], "max over z of r(w, z)"),  # q(z) large only where |z| is
-], ids=["p", "q", "p-times-q", "p-times-q-off-the-axis"])
-def test_sweep_rejects_a_radius_that_overflows(p, q, label):
-    # each was accepted before, and then warned of the overflow and failed at the first
-    # evaluation; the error names the factor, or r itself, and a point where it is inf
-    with pytest.raises(ModelSpecError, match=rf"^{re.escape(label)} must be finite across the diamond") as info:
+@pytest.mark.parametrize("p, q, message, want", [
+    ([1e308, 1e308, 1e308], [1.0, 0.0], "p(w) must be finite", math.inf),  # p overflows on the sweep itself
+    ([1.0], [1e308, 1e308, 1e308], "q(z) must be finite", math.inf),
+    ([1e300], [1e300], "max over z of r(w, z) must be finite", math.inf),  # p and q pass, their product does not
+    ([1e300], [1.0] + [0.0] * 11 + [1e308], "max over z of r(w, z) must be finite", math.inf),  # q(z) large only where |z| is
+    # a factor that is 0 where the other overflows: 0 * inf is NaN, and numpy warns of it
+    ([0.0], [1e308, 1e308, 1e308], "p(w) must be strictly positive", 0.0),
+    ([1e308, 1e308, 1e308], [0.0, 1.0], "p(w) must be finite", math.inf),
+], ids=["p", "q", "p-times-q", "p-times-q-off-the-axis", "p-zero-q-inf", "p-inf-q-zero"])
+def test_sweep_rejects_a_radius_that_overflows(p, q, message, want):
+    # each was accepted before, or warned first, and then warned of the overflow and failed at the
+    # first evaluation; the error names the factor, or r itself, and a point where it is found
+    with pytest.raises(ModelSpecError, match=rf"^{re.escape(message)} across the diamond") as info:
         product_radius(p, q=q)
     found, at = str(info.value).split("found ")[1].split(" at ")
-    assert float(found) == math.inf and abs(float(at)) <= L
+    assert float(found) == want and abs(float(at)) <= L
 
 
 def test_sweep_accepts_a_radius_finite_on_the_diamond():

@@ -3,7 +3,7 @@
 A refactor or a speed change that claims to keep every output bit can be
 checked by running this on both sides and comparing the totals.  It runs
 ``fhsmooth.cli.main`` in-process from this checkout's src/, for each model
-of ``perfbench/workloads.model_catalogue`` (its JSON is written out below):
+of ``perfbench/workloads.model_catalogue``, passed as its ``model_to_json``:
 
 * ``grid --grid-n 256``, ``check --grid-n 512``, ``validate --grid-n 256``;
 * ``sample --n 2000`` at a fixed seed;
@@ -12,8 +12,9 @@ of ``perfbench/workloads.model_catalogue`` (its JSON is written out below):
 
 and ``grid``, ``check`` and ``eval`` for the sharp bounds ``w`` and ``m``.
 Each line is one (model, command): a digest over the exit code, stdout and
-stderr of its calls.  The last line digests those lines.  Standard library
-only; it takes a few seconds and is not part of the suite.
+stderr of its calls.  The last line digests those lines.  It needs nothing
+beyond fhsmooth's own dependencies; it takes a few seconds and is not part
+of the suite.
 
     python tools/output_digest.py
 """
@@ -23,22 +24,21 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from fhsmooth import cli  # noqa: E402
+from fhsmooth.radius import model_to_json  # noqa: E402
+from workloads import model_catalogue  # noqa: E402
 
+_NAMES = {family: name for name, family in cli._COPULAS.items()}
 MODELS = {
-    "gauss-0.5": ("mbar", '{"kind": "gaussian_band", "d": 0.5}'),
-    "gauss-1": ("mbar", '{"kind": "gaussian_band", "d": 1.0}'),
-    "gauss-2": ("mbar", '{"kind": "gaussian_band", "d": 2.0}'),
-    "product-upper-0": ("mbar", '{"kind": "product", "p": [0.25, 0.0, -0.5], "epsilon": 0.0}'),
-    "product-upper-0.2": ("mbar", '{"kind": "product", "p": [0.25, 0.0, -0.5], "epsilon": 0.2}'),
-    "product-lower": ("wbar", '{"kind": "product", "p": [1.0], "q": [0.25, 0.0, -0.5]}'),
-    "constant-0.2": ("mbar", '{"kind": "constant", "r0": 0.2}'),
+    key: (_NAMES[spec.family], json.dumps(model_to_json(spec.model)))
+    for key, spec in model_catalogue().items()
 }
 POINTS = [("0.5", "0.5"), ("0.3", "0.35"), ("0.7", "0.62"), ("0.1", "0.9"), ("0", "0.4")]
 BAND_WS = ["0", "0.3", "-0.5"]
