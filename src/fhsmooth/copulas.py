@@ -54,7 +54,8 @@ _BLOCK = 2**15  # points per pass; its temporaries then fit a core's L2 cache
 
 @dataclass(frozen=True)
 class CopulaSpec:
-    """A copula: its family, and a radius model iff it is smoothed (a ``smoothed_*`` family)."""
+    """A copula: its family, and a radius model (with a callable ``radius``) iff it is smoothed
+    (a ``smoothed_*`` family)."""
 
     family: str
     model: Optional[object] = None
@@ -64,6 +65,8 @@ class CopulaSpec:
         if self.family.startswith("smoothed_") != self.smoothed:
             need = "requires" if self.model is None else "does not take"
             raise ValueError(f"family {self.family!r} {need} a radius model")
+        if self.smoothed and not callable(getattr(self.model, "radius", None)):
+            raise ValueError(f"a radius model needs a callable radius, got {self.model!r}")
 
     @property
     def smoothed(self) -> bool:

@@ -84,16 +84,23 @@ class SupportBand:
     kappa: float  # upper/|lower|; +inf sentinel when lower >= 0
 
 
-def _require_sweep(vals, label: str):
-    """ModelSpecError unless vals, taken at _SWEEP_XS, are strictly positive and finite."""
+def _require_sweep(vals, label: str, positive: bool = True):
+    """ModelSpecError unless vals, taken at _SWEEP_XS, are finite, and strictly positive if ``positive``."""
     idx, want = vals.argmin(), "strictly positive"  # methods: np.argmin's dispatch costs more than the search
-    if vals[idx] > 0.0:
-        idx, want = vals.argmax(), "finite"
-    if not 0.0 < vals[idx] < math.inf:
-        raise ModelSpecError(
-            f"{label} must be {want} across the diamond; "
-            f"found {float(vals[idx])!r} at {float(_SWEEP_XS[idx])!r}"
-        )
+    if vals[idx] > 0.0 or not positive:
+        idx, want = vals.argmax(), "finite"  # a NaN counts as the largest
+        if vals[idx] < math.inf:
+            return
+    raise ModelSpecError(
+        f"{label} must be {want} across the diamond; "
+        f"found {float(vals[idx])!r} at {float(_SWEEP_XS[idx])!r}"
+    )
+
+
+def _max_over_z(q):
+    """At each sweep w, the largest of q(z) over the sweep z the diamond holds there (|z| <= L - |w|)."""
+    fold = np.maximum.accumulate(np.maximum(q[_SWEEP_POINTS // 2 :], q[_SWEEP_POINTS // 2 :: -1]))
+    return np.concatenate((fold, fold[-2::-1]))
 
 
 @dataclass(frozen=True)
@@ -137,16 +144,21 @@ class ProductRadius:
             p, q = (npoly.polyval(_SWEEP_XS, c) for c in (self.p_coeffs, self.q_coeffs))
             _require_sweep(p, "p(w)")
             _require_sweep(q, "q(z)")
-            # r's largest value over z at each w on the diamond (fold[k]: q's largest within k steps of
-            # z = 0); p and q are positive and finite here, so it overflows to +inf and never to NaN
-            fold = np.maximum.accumulate(np.maximum(q[_SWEEP_POINTS // 2 :], q[_SWEEP_POINTS // 2 :: -1]))
-            _require_sweep(p * np.concatenate((fold, fold[-2::-1])), "max over z of r(w, z)")
+            # p and q are positive and finite here, so r's bound overflows to +inf and never to NaN
+            _require_sweep(p * _max_over_z(q), "max over z of r(w, z)")
 
     @functools.cached_property
     def _derivs(self):
         """(p', q', p'', q'') coefficients, built at the first jet, not at construction:
-        a model parsed for one value never needs them.  Not part of the model's identity."""
-        return tuple(npoly.polyder(c, m) for m in (1, 2) for c in (self.p_coeffs, self.q_coeffs))
+        a model parsed for one value never needs them.  Not part of the model's identity.
+        ModelSpecError if one of the jet's products p'q, pq', p''q, pq'' overflows on the diamond."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a ModelSpecError below
+            derivs = tuple(npoly.polyder(c, m) for m in (1, 2) for c in (self.p_coeffs, self.q_coeffs))
+            factors = (self.p_coeffs, self.q_coeffs) + derivs
+            p, q, dp1, dq1, dp2, dq2 = (np.abs(npoly.polyval(_SWEEP_XS, c)) for c in factors)
+            for f, g, label in ((dp1, q, "p'q"), (p, dq1, "pq'"), (dp2, q, "p''q"), (p, dq2, "pq''")):
+                _require_sweep(f * _max_over_z(g), f"max over z of |{label}|", positive=False)
+        return derivs
 
     def radius(self, w, z):
         w, z = np.broadcast_arrays(np.asarray(w, float), np.asarray(z, float))

@@ -90,7 +90,9 @@ def conditional_inverse(spec: CopulaSpec, u, t):
     t = 0 and t = 1 that end is the root, returned with no evaluation.  Each
     step evaluates f only at the pairs still running; a pair is retired
     once |f| reaches the rounding level of dC/du or its bracket is a few
-    ulp wide, so its result depends on its own (u, t) only.
+    ulp wide, so its result depends on its own (u, t) only.  The carried
+    arrays are compacted, through one index of the survivors, only on a
+    step where some pair retires; on the other steps they carry over as is.
 
     Raises
     ------
@@ -116,7 +118,9 @@ def conditional_inverse(spec: CopulaSpec, u, t):
     c, fc = b, fb
     frac = np.full(u.size, 0.5)
     for step in range(_MAX_STEPS if run.size else 0):
-        x = a + frac * (b - a)
+        x = b - a
+        x *= frac
+        x += a
         fx = copula_partials(spec, u, x)[0] - t
         # [a, b] keeps f < 0 at one end and f >= 0 at the other, with a the
         # newest point; c is the point it replaced
@@ -126,21 +130,27 @@ def conditional_inverse(spec: CopulaSpec, u, t):
         a, fa = x, fx
         nearer = np.abs(fa) < np.abs(fb)
         best = np.where(nearer, a, b)
-        width = np.abs(b - a)
+        width = b - a
+        np.abs(width, out=width)
         # f sees v only through u + v and v - u, rounded to an ulp of
         # max(u, v); a narrower bracket carries no more information
-        tol = 4.0 * _EPS * np.maximum(best, u)
+        tol = np.maximum(best, u)
+        tol *= 4.0 * _EPS
         done = (np.abs(np.where(nearer, fa, fb)) <= ftol) | (width <= tol)
         if step == _MAX_STEPS - 1:
             done[:] = True
-        v[run[done]] = best[done]
-        if done.all():
-            break
-        keep = ~done
-        run, u, t, ftol, a, b, c, fa, fb, fc, width, tol = (
-            arr[keep] for arr in (run, u, t, ftol, a, b, c, fa, fb, fc, width, tol)
-        )
-        frac = _chandrupatla_step(t, a, b, c, fa, fb, fc, 0.5 * tol / width)
+        lim = tol  # the step's least fraction, 0.5 * tol / width, built in tol's buffer
+        lim *= 0.5
+        lim /= width
+        if done.any():
+            v[run[done]] = best[done]
+            if done.all():
+                break
+            keep = np.flatnonzero(~done)
+            run, u, t, ftol, a, b, c, fa, fb, fc, lim = (
+                arr[keep] for arr in (run, u, t, ftol, a, b, c, fa, fb, fc, lim)
+            )
+        frac = _chandrupatla_step(t, a, b, c, fa, fb, fc, lim)
     return v.reshape(shape)
 
 

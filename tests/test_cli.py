@@ -288,6 +288,21 @@ def test_a_radius_that_overflows_exits_two_with_one_line(capsys, radius, message
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("density", "--u", "0.95", "--v", "0.9"), ("validate",), ("check",),
+], ids=["density", "validate", "check"])
+def test_a_jet_that_overflows_exits_two_with_one_line(capsys, argv):
+    # r is finite on the diamond, p'q and p''q are not; before, density printed an overflow
+    # warning and then inf with exit 0, and validate and check warned before their reports
+    radius = '{"kind":"product","p":[1,0,0,0,4e155],"q":[1,0,0,0,4e155]}'
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv[0], "--copula", "mbar", "--radius", radius, *argv[1:])
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: max over z of |p'q| must be finite across the diamond; found inf at ")
+    assert err.count("\n") == 1
+
+
 def test_file_errors_exit_two(capsys, tmp_path):
     # a missing or unreadable --radius path and an --out in a missing directory
     # are input errors (2), reported on stderr, not a traceback or a failed check (1)

@@ -48,15 +48,19 @@ SPEC_CASES = [
     ("smoothed_lower", None, "family 'smoothed_lower' requires a radius model"),
     ("smoothed_upper", None, "family 'smoothed_upper' requires a radius model"),
     ("upper", None, "no orientation for family 'upper'"),
+    ("smoothed_upper", 0.2, "a radius model needs a callable radius, got 0.2"),
 ]
 
 
-@pytest.mark.parametrize(
-    "family, model, want", SPEC_CASES, ids=[f"{f}-{'none' if m is None else 'model'}" for f, m, _ in SPEC_CASES]
-)
+def _spec_case_id(family, model):
+    return f"{family}-{'none' if model is None else 'model' if model is R02 else type(model).__name__}"
+
+
+@pytest.mark.parametrize("family, model, want", SPEC_CASES, ids=[_spec_case_id(f, m) for f, m, _ in SPEC_CASES])
 def test_spec_validation(family, model, want):
     # a spec is smoothed iff it carries a model; a valid pair keeps its family's
-    # orientation, and a mismatched pair or an unknown family is a ValueError
+    # orientation, and a mismatched pair, an unknown family or a model with no
+    # callable radius is a ValueError
     if isinstance(want, str):
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             CopulaSpec(family, model)

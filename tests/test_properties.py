@@ -1,6 +1,7 @@
-"""Hypothesis properties: the model JSON round trip, rectangle volumes, and the
+"""Hypothesis properties: the model JSON round trip, rectangle volumes, the
 closed forms against the disc-average oracle, against finite differences of
-themselves, and (the density) against finite differences of the oracle."""
+themselves, and (the density) against finite differences of the oracle, and
+the sampler's batch prefixes."""
 
 import json
 
@@ -19,6 +20,7 @@ from fhsmooth.radius import (
     model_to_json,
     product_radius,
 )
+from fhsmooth.sampler import sample_batch
 from fhsmooth.validator import validate_model
 
 # a polynomial positive across the diamond: c0 >= 0.5 outweighs |c1*w + c2*w^2| <= 0.45
@@ -130,3 +132,15 @@ def test_density_matches_oracle_differences(spec, s, frac):
     d1, d2 = _oracle_density(spec, w, z, h), _oracle_density(spec, w, z, 2.0 * h)
     tol = abs(d1 - d2) + 4.0 * FD_ORACLE_TOL * (1.0 / h**2 + 1.0 / (2.0 * h) ** 2)
     assert abs(float(copula_density(spec, *wz_to_uv(w, z))) - d1) <= tol
+
+
+PREFIX_SPEC = CopulaSpec("smoothed_lower", product_radius([1.0], q=[0.25, 0, -0.5]))
+prefix_sizes = st.integers(2, 300).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n)))
+
+
+@given(prefix_sizes, st.integers(-(2**70), 2**70))
+def test_sample_batch_prefixes(sizes, seed):
+    # each pair is retired on its own stopping rule, so its v does not depend on
+    # which other pairs share its batch: a shorter batch is a prefix of a longer one
+    m, n = sizes
+    assert np.array_equal(sample_batch(PREFIX_SPEC, m, seed).pairs, sample_batch(PREFIX_SPEC, n, seed).pairs[:m])

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from collections import namedtuple
 
 import mpmath
@@ -519,6 +520,43 @@ def test_sweep_accepts_a_radius_finite_on_the_diamond():
     for z in (L - np.abs(w), np.zeros_like(w)):
         assert np.all(np.isfinite(m.radius(w, z)))
     assert float(m.radius(L / 2, L / 2)) > 1e307 and float(m.radius(L, 0.0)) > 1e154
+
+
+@pytest.mark.parametrize("p, q, label, want", [
+    ([1, 0, 0, 0, 4e155], [1, 0, 0, 0, 4e155], "p'q", "inf"),  # r is at most about 3.9e307
+    ([1e154], [1.0, 0.0, 1e154], "pq''", "inf"),  # only a second derivative's product overflows
+    ([1.0], [1.0] + [0.0] * 19 + [1e308], "pq'", "nan"),  # q' has the coefficient 20e308 = inf
+    # p' peaks at w = 0 and q at |z| = L: p'q is 2e308 at (0, L), and at most 7e306 where |z| = |w|
+    ([1e10, 2e10, 0.0, -4e10 / 3], [1.0] + [0.0] * 19 + [1e298 / L**20], "p'q", "inf"),
+], ids=["p-prime-q", "p-q-second", "q-prime-coefficient", "p-prime-q-off-the-diagonal"])
+def test_a_jet_that_overflows_is_rejected_at_its_first_build(p, q, label, want):
+    # r is finite on the diamond, so the model builds and its values need no jet; the
+    # first jet bounds the products p'q, pq', p''q and pq'' over z at each w, as the
+    # construction bounds r, and raises there, with no numpy warning, at each call
+    model = product_radius(p, q=q)
+    assert np.isfinite(model.radius(0.1, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(ModelSpecError, match=rf"^max over z of \|{re.escape(label)}\| must be finite") as info:
+                model.jet(0.1, 0.1)
+    found, at = str(info.value).split("found ")[1].split(" at ")
+    assert found == want and abs(float(at)) <= L
+
+
+def test_a_jet_finite_on_the_diamond_is_kept():
+    # p'' q peaks near 3.7e299: accepted, and the jet is the factors' derivative products
+    big = [1.0, 0.0, 0.0, 0.0, 1e150 / L**4]
+    model = product_radius(big, q=big)
+    w = np.linspace(-L, L, 1001)
+    z = L - np.abs(w)
+    p, p1, p2 = (npoly.polyval(w, npoly.polyder(big, m)) for m in (0, 1, 2))
+    q, q1, q2 = (npoly.polyval(z, npoly.polyder(big, m)) for m in (0, 1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = model.jet(w, z)
+    for got, want in zip(jet, (p * q, p1 * q, p * q1, p2 * q, p * q2)):
+        assert np.array_equal(got, want) and np.all(np.isfinite(got))
 
 
 @pytest.mark.parametrize("obj, key", [

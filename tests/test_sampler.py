@@ -240,3 +240,57 @@ def test_conditional_inverse_step_cap_returns_each_pairs_best_bracket_end(monkey
     calls = _record_partials(monkeypatch)
     assert np.array_equal(conditional_inverse(GAUSS, u, t), best)
     assert len(calls) == 1
+
+
+def _reference_inverse(spec, u, t, sizes):
+    """conditional_inverse on flat (u, t) as it read when it compacted every
+    step with twelve boolean masks; appends each copula_partials size to sizes."""
+    eps, max_steps = np.finfo(float).eps, 60
+    v = np.where(t == 1.0, 1.0, 0.0)
+    run = np.flatnonzero((t > 0.0) & (t < 1.0))
+    u, t = u[run], t[run]
+    ftol = np.where(np.abs(t - 0.5) < 0.5 - 2.0 * eps, eps, 0.0)
+    a, fa = np.zeros(u.size), -t
+    b, fb = np.ones(u.size), 1.0 - t
+    c, fc = b, fb
+    frac = np.full(u.size, 0.5)
+    for step in range(max_steps if run.size else 0):
+        x = a + frac * (b - a)
+        sizes.append(x.size)
+        fx = copula_partials(spec, u, x)[0] - t
+        same = (fx < 0) == (fa < 0)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = x, fx
+        nearer = np.abs(fa) < np.abs(fb)
+        best = np.where(nearer, a, b)
+        width = np.abs(b - a)
+        tol = 4.0 * eps * np.maximum(best, u)
+        done = (np.abs(np.where(nearer, fa, fb)) <= ftol) | (width <= tol)
+        if step == max_steps - 1:
+            done[:] = True
+        v[run[done]] = best[done]
+        if done.all():
+            break
+        keep = ~done
+        run, u, t, ftol, a, b, c, fa, fb, fc, width, tol = (
+            arr[keep] for arr in (run, u, t, ftol, a, b, c, fa, fb, fc, width, tol)
+        )
+        frac = sampler._chandrupatla_step(t, a, b, c, fa, fb, fc, 0.5 * tol / width)
+    return v
+
+
+@pytest.mark.parametrize("spec", [VALIDATING_SPECS[-1], GAUSS], ids=["product-lower", "gauss-1"])
+def test_conditional_inverse_matches_the_masked_loop_bit_for_bit(spec, monkeypatch):
+    # retiring pairs only on steps where some finish, gathered by one index,
+    # and the loop's in-place arithmetic must leave every v and every call
+    # size as the loop that compacted on every step gave them
+    u, t = _pairs(20_000, seed=11)
+    t[300:320] = 0.0
+    t[320:340] = 1.0
+    ref_sizes = []
+    v_ref = _reference_inverse(spec, u, t, ref_sizes)
+    calls = _record_partials(monkeypatch)
+    v = conditional_inverse(spec, u, t)
+    assert np.array_equal(v.view(np.int64), v_ref.view(np.int64))
+    assert [c.size for c in calls] == ref_sizes
