@@ -113,12 +113,12 @@ def _dispatch(parser, args) -> int:
         if n < 1:  # worded and reported as validate's and check's own bounds
             raise ValueError(f"grid_n must be >= 1, got {n!r}")
         mids = (np.arange(n) + 0.5) / n
-        rows = np.empty((n * n, 4))  # filled in place, one column at a time
-        u, v, values, dens = rows.T
-        u[:], v[:] = np.repeat(mids, n), np.tile(mids, n)  # row-major lattice, u slowest
-        values[:] = copula_values(spec, u, v)
-        dens[:] = copula_density(spec, u, v) if spec.smoothed else 0.0  # singular: a.e. density
-        write_output(csv_text("u,v,value,density", rows), args.out)
+        u, v = mids[:, None], mids  # row-major lattice, u slowest
+        values = copula_values(spec, u, v)
+        dens = copula_density(spec, u, v) if spec.smoothed else np.zeros((n, n))  # singular: a.e. density
+        at = np.arange(n)  # row i is (mids[i // n], mids[i % n]): each axis handed over deduplicated
+        axes = [(mids, np.repeat(at, n)), (mids, np.tile(at, n))]
+        write_output(csv_text("u,v,value,density", [*axes, values.ravel(), dens.ravel()]), args.out)
         return 0
 
     if args.command in ("validate", "check"):
@@ -132,9 +132,9 @@ def _dispatch(parser, args) -> int:
     if args.command == "sample":
         batch = sample_batch(spec, args.n, args.seed)
         if args.gaussian:
-            write_output(csv_text("x,y", to_gaussian(batch)), args.out)
+            write_output(csv_text("x,y", to_gaussian(batch).T), args.out)
         else:
-            write_output(csv_text("u,v", batch.pairs), args.out)
+            write_output(csv_text("u,v", batch.pairs.T), args.out)
         return 0
 
     # band: the parser admits no other command

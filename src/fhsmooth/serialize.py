@@ -37,63 +37,78 @@ def json_text(obj, indent: int = 0) -> str:
 
 
 _PROBE_ROWS = 4096  # a column's strided subsample, sorted to see whether it repeats at all
-_PIECE_ROWS = 4096  # rows per "%" operation; only one piece's cells are ever whole
+_PIECE_ROWS = 4096  # rows per piece; only one piece's fields are ever whole
 _WRITE_CHARS = 2**20  # characters per write; the encoder copies one slice at a time
 
 
 def _column_table(col):
-    """(each distinct value's text, index back) for a repeating column, else None.
+    """(each distinct value's field, index back) for a repeating column, else None.
 
-    A strided subsample decides first: when no value repeats in it (sampled
-    pairs), the column is formatted directly, without sorting it whole.
+    A ``(values, index)`` column is taken as given.  A float column is
+    probed first: when no value repeats in a strided subsample (sampled
+    pairs), it is formatted directly, without sorting it whole.  Otherwise
+    np.unique of its bit patterns (== would merge -0.0 into 0.0, spelled
+    "-0" and "0") gives the pair, unless over half its rows are distinct.
     """
-    bits = col.view(np.int64)
-    probe = np.sort(bits[:: max(1, bits.size // _PROBE_ROWS)])
-    if np.all(probe[1:] != probe[:-1]):
-        return None
-    distinct, back = np.unique(bits, return_inverse=True)
-    if 2 * distinct.size > bits.size:
-        return None
-    text = ("%.17g\n" * distinct.size) % tuple(distinct.view(np.float64).tolist())
-    return np.array(text.split("\n")[:-1], dtype=object), back
+    if isinstance(col, tuple):
+        values, index = col
+    else:
+        bits = col.view(np.int64)
+        probe = np.sort(bits[:: max(1, bits.size // _PROBE_ROWS)])
+        if np.all(probe[1:] != probe[:-1]):
+            return None
+        distinct, index = np.unique(bits, return_inverse=True)
+        if 2 * distinct.size > bits.size:
+            return None
+        values = distinct.view(np.float64)
+    return _fields(values), index
 
 
-def csv_text(header: str, rows) -> str:
-    """Columnar float output under a fixed header line; rows is a 2-D array.
+def _fields(values):
+    """Each value's "%.17g" text as one NUL-padded field of a fixed-width bytes array."""
+    text = ("%.17g\n" * values.size) % tuple(values.tolist())
+    return np.array(text.encode().split(b"\n")[:-1], dtype=bytes)
 
-    Each value reads as ``format_float`` spells it.  A lattice repeats most
-    of its values, so a column with at most half as many distinct values as
-    rows is formatted once per distinct value and gathered back; any other
-    column goes to the line template as "%.17g" directly.  Values are told
-    apart by their bit pattern, not by ==, which would merge -0.0 into 0.0
-    (spelled "-0" and "0").  The body is built in pieces of _PIECE_ROWS
-    rows, each one "%" over that piece's cells, and the pieces are joined
-    once under the header: besides them and the text, no table of cells,
-    tuple or copy of the whole body is ever built.
+
+def csv_text(header: str, columns) -> str:
+    """Columnar float output under a fixed header line.
+
+    Each of ``columns`` is a float array or a ``(values, index)`` pair that
+    reads ``values[index]``, as ``grid`` hands over its lattice axes; each
+    value reads as ``format_float`` spells it.  Repeating columns become
+    fixed-width bytes fields, one per distinct value (see _column_table);
+    each piece of _PIECE_ROWS rows lays them side by side, with "," or a
+    newline after each, and drops the NUL padding.  When no column repeats
+    (sampled pairs), each piece is one "%" over a line template instead.
+    The pieces are joined once under the header: no table of cells or copy
+    of the whole body is ever built.
     """
-    rows = np.asarray(rows, dtype=float)
+    columns = [c if isinstance(c, tuple) else np.asarray(c, dtype=float) for c in columns]
     # the column tables die with _body_pieces, before the join holds the pieces and the text
-    return "".join([header + "\n", *_body_pieces(rows)])
+    return "".join([header + "\n", *_body_pieces(columns)])
 
 
-def _body_pieces(rows):
-    """The CSV lines of a 2-D float array, one string per _PIECE_ROWS rows."""
-    n, _ = rows.shape
-    tables = [_column_table(col) for col in rows.T]
-    line = ",".join("%.17g" if t is None else "%s" for t in tables) + "\n"
+def _body_pieces(columns):
+    """The CSV lines of the columns, one string per _PIECE_ROWS rows."""
+    tables = [_column_table(col) for col in columns]
+    n = len(columns[0] if tables[0] is None else tables[0][1])
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     pieces = []
     for start in range(0, n, _PIECE_ROWS):
-        cells = rows[start : start + _PIECE_ROWS]
-        if any(t is not None for t in tables):
-            block = np.empty(cells.shape, dtype=object)
-            for j, t in enumerate(tables):
-                if t is None:
-                    block[:, j] = cells[:, j]
-                else:
-                    texts, back = t
-                    block[:, j] = texts[back[start : start + len(cells)]]
-            cells = block
-        pieces.append((line * len(cells)) % tuple(cells.ravel().tolist()))
+        rows = slice(start, start + _PIECE_ROWS)
+        if all(t is None for t in tables):  # for unrepeated pairs the template beats fields
+            cells = np.column_stack([col[rows] for col in columns])
+            pieces.append((line * len(cells)) % tuple(cells.ravel().tolist()))
+            continue
+        fields = [_fields(c[rows]) if t is None else t[0][t[1][rows]] for c, t in zip(columns, tables)]
+        buf = np.full((len(fields[0]), sum(f.itemsize + 1 for f in fields)), ord(","), dtype=np.uint8)
+        end = 0
+        for f in fields:
+            buf[:, end : end + f.itemsize] = f.view(np.uint8).reshape(-1, f.itemsize)
+            end += f.itemsize + 1
+        buf[:, -1] = ord("\n")
+        flat = buf.ravel()
+        pieces.append(flat[flat != 0].tobytes().decode("ascii"))  # text never holds a NUL
     return pieces
 
 

@@ -133,21 +133,21 @@ def test_grid_makes_one_csv_text_and_one_write_output_call(capsys, monkeypatch):
     assert calls == ["csv_text", "write_output"]
 
 
-@pytest.mark.parametrize("copula, family, radius", [
-    ("mbar", "smoothed_upper", GAUSS_JSON),
-    ("wbar", "smoothed_lower", '{"kind":"product","p":[1.0],"q":[0.25,0,-0.5]}'),
+@pytest.mark.parametrize("copula, family, radius, n", [
+    ("mbar", "smoothed_upper", GAUSS_JSON, 64),
+    ("wbar", "smoothed_lower", '{"kind":"product","p":[1.0],"q":[0.25,0,-0.5]}', 64),
+    ("mbar", "smoothed_upper", GAUSS_JSON, 300),  # 4096-row pieces end mid-row
 ])
-def test_grid_stdout_is_the_per_cell_format(capsys, copula, family, radius):
-    # at 64 every column has at most half as many distinct values as rows,
+def test_grid_stdout_is_the_per_cell_format(capsys, copula, family, radius, n):
+    # every column has at most half as many distinct values as rows,
     # so each one takes csv_text's formatted-once path
-    n = 64
     code, out, _ = run(capsys, "grid", "--copula", copula, "--radius", radius, "--grid-n", str(n))
     mids = (np.arange(n) + 0.5) / n
     u, v = (a.ravel() for a in np.meshgrid(mids, mids, indexing="ij"))
     spec = CopulaSpec(family, model_from_json(radius))
     columns = [u, v, copula_values(spec, u, v), copula_density(spec, u, v)]
     assert all(2 * np.unique(c.view(np.int64)).size <= c.size for c in columns)
-    cells = [list(map(format_float, c)) for c in columns]
+    cells = [list(map(format_float, c.tolist())) for c in columns]
     assert code == 0
     assert out == "u,v,value,density\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
 

@@ -19,11 +19,11 @@ EDGE_VALUES = [
 def test_csv_text_writes_each_value_as_format_float():
     rows = np.array(EDGE_VALUES).reshape(-1, 2)
     want = "a,b\n" + "".join(f"{format_float(x)},{format_float(y)}\n" for x, y in rows)
-    assert csv_text("a,b", rows) == want
+    assert csv_text("a,b", rows.T) == want
     for k in (1, 7):
         col = np.array(EDGE_VALUES).reshape(-1, k)
         lines = [",".join(format_float(x) for x in row) for row in col]
-        assert csv_text("h", col) == "\n".join(["h", *lines]) + "\n"
+        assert csv_text("h", col.T) == "\n".join(["h", *lines]) + "\n"
 
 
 def test_format_float_literals():
@@ -43,7 +43,7 @@ def test_format_float_round_trips():
 
 
 def test_csv_text_with_no_rows_is_the_header():
-    assert csv_text("u,v", np.empty((0, 2))) == "u,v\n"
+    assert csv_text("u,v", [np.empty(0)] * 2) == "u,v\n"
 
 
 # bit patterns a column must keep apart: -0.0 beside 0.0, NaNs with other
@@ -61,7 +61,7 @@ def as_floats(bits):
 
 
 def per_cell_csv(header, rows):
-    return "".join([header, "\n", *(",".join(map(format_float, row)) + "\n" for row in rows)])
+    return "".join([header, "\n", *(",".join(map(format_float, row)) + "\n" for row in rows.tolist())])
 
 
 @st.composite
@@ -77,7 +77,7 @@ def csv_rows(draw):
 
 @given(csv_rows())
 def test_csv_text_matches_per_cell_format_float(rows):
-    assert csv_text("h", rows) == per_cell_csv("h", rows)
+    assert csv_text("h", rows.T) == per_cell_csv("h", rows)
 
 
 @pytest.mark.parametrize("column", [
@@ -90,7 +90,7 @@ def test_csv_text_matches_per_cell_format_float(rows):
 ], ids=["signed-zeros", "nan-payloads", "inf-subnormal", "all-equal", "all-distinct", "empty"])
 def test_csv_text_edge_columns(column):
     rows = np.column_stack([column, column[::-1], np.zeros_like(column)])
-    assert csv_text("a,b,c", rows) == per_cell_csv("a,b,c", rows)
+    assert csv_text("a,b,c", rows.T) == per_cell_csv("a,b,c", rows)
 
 
 PIECE = serialize._PIECE_ROWS
@@ -105,7 +105,42 @@ def test_csv_text_pieces_join_at_every_boundary(n):
     direct[::97] = SPECIALS[np.arange(direct[::97].size) % SPECIALS.size]
     rows = np.column_stack([shared, direct, shared[::-1]])
     assert [serialize._column_table(col) is None for col in rows.T] == [False, True, False]
-    assert csv_text("a,b,c", rows) == per_cell_csv("a,b,c", rows)
+    assert csv_text("a,b,c", rows.T) == per_cell_csv("a,b,c", rows)
+
+
+WIDE = [0.0, math.nan, -2.2250738585072014e-308]  # fields of 1, 3 and 24 characters
+SMALL_PIECE = 5  # rows per piece while the property runs, so n crosses several boundaries
+
+
+@st.composite
+def indexed_columns(draw):
+    """(values, index) pairs beside direct columns, over a few SMALL_PIECE-row pieces.
+
+    A direct column is distinct integers up to a cut and values of up to 24
+    characters after it, so its fields can widen from one piece to the next.
+    """
+    n, k = draw(st.integers(0, 4 * SMALL_PIECE)), draw(st.integers(1, 3))
+    columns = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            pool = draw(st.lists(st.sampled_from(WIDE) | bit_patterns.map(as_floats), min_size=1, max_size=4))
+            index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+            columns.append((np.array(pool, dtype=float), np.array(index, dtype=np.intp)))
+        else:
+            rows = np.arange(n)
+            columns.append(np.where(rows < draw(st.integers(0, n)), rows, -(rows + 1) * 1e-300))
+    return columns
+
+
+@settings(max_examples=50)
+@given(indexed_columns())
+def test_csv_text_of_indexed_columns_matches_their_expanded_floats(columns):
+    expanded = [c[0][c[1]] if isinstance(c, tuple) else c for c in columns]
+    want = per_cell_csv("h", np.column_stack(expanded))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_PIECE_ROWS", SMALL_PIECE)
+        assert csv_text("h", columns) == want
+        assert csv_text("h", expanded) == want
 
 
 def test_write_output_slices_give_stdout_and_file_the_same_bytes(capsys, tmp_path):
@@ -159,9 +194,9 @@ def test_csv_text_of_a_lattice_peaks_below_three_times_its_text():
     n = 256
     mids = (np.arange(n) + 0.5) / n
     u, v = np.repeat(mids, n), np.tile(mids, n)
-    rows = np.column_stack([u, v, copula_values(CopulaSpec("fh_upper"), u, v), np.zeros(n * n)])
-    csv_text("u,v,value,density", rows[:n])  # warm up outside the trace
-    text, peak = traced_peak(lambda: csv_text("u,v,value,density", rows))
+    columns = [u, v, copula_values(CopulaSpec("fh_upper"), u, v), np.zeros(n * n)]
+    csv_text("u,v,value,density", [c[:n] for c in columns])  # warm up outside the trace
+    text, peak = traced_peak(lambda: csv_text("u,v,value,density", columns))
     assert peak < 3.0 * len(text)
 
 

@@ -6,6 +6,8 @@ checked by running this on both sides and comparing the totals.  It runs
 of ``perfbench/workloads.model_catalogue``, passed as its ``model_to_json``:
 
 * ``grid --grid-n 256``, ``check --grid-n 512``, ``validate --grid-n 256``;
+* ``grid --grid-n 300`` for ``gauss-1`` and ``product-lower``: a lattice
+  whose 4096-row CSV pieces end mid-row;
 * ``sample --n 2000`` at a fixed seed;
 * ``eval`` and ``density`` at fixed points, and ``band`` at fixed w for the
   ``mbar`` models;
@@ -43,12 +45,15 @@ MODELS = {
 POINTS = [("0.5", "0.5"), ("0.3", "0.35"), ("0.7", "0.62"), ("0.1", "0.9"), ("0", "0.4")]
 BAND_WS = ["0", "0.3", "-0.5"]
 SEED = "2024"
+MID_ROW = {"gauss-1", "product-lower"}  # also exported at 300, where CSV pieces end mid-row
 
 
-def _calls(copula, radius):
+def _calls(name, copula, radius):
     """(command, argv) for every call made on one copula."""
     model = ["--copula", copula] + (["--radius", radius] if radius else [])
     calls = [("grid", ["grid", *model, "--grid-n", "256"]), ("check", ["check", *model, "--grid-n", "512"])]
+    if name in MID_ROW:
+        calls.append(("grid-300", ["grid", *model, "--grid-n", "300"]))
     calls += [("eval", ["eval", *model, "--u", u, "--v", v]) for u, v in POINTS]
     if radius:
         calls.append(("validate", ["validate", *model, "--grid-n", "256"]))
@@ -71,7 +76,7 @@ def main() -> int:
     lines = []
     for name, (copula, radius) in copulas.items():
         digests = {}
-        for command, argv in _calls(copula, radius):
+        for command, argv in _calls(name, copula, radius):
             digests.setdefault(command, hashlib.sha256()).update(_run(argv))
         lines += [f"{d.hexdigest()}  {name} {command}" for command, d in digests.items()]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
