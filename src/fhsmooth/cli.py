@@ -23,7 +23,7 @@ from .copulas import CopulaSpec, copula_density, copula_values, smoothed_value  
 from .geometry import SquarePoint
 from .radius import RadiusEvalError, model_from_json, support_band
 from .sampler import InvalidModelError, sample_batch, to_gaussian
-from .serialize import csv_text, format_float, json_text, write_output
+from .serialize import csv_text, format_float, json_text, output_file, write_output
 from .validator import validate_model
 
 _COPULAS = {
@@ -98,6 +98,13 @@ def _load_model(parser, args):
     return None
 
 
+def _emit(texts, out_path):
+    """Write each text in turn to stdout or, atomically, to out_path: the one output path."""
+    with output_file(out_path) as fh:
+        for text in texts:
+            write_output(text, fh)
+
+
 def _dispatch(parser, args) -> int:
     model = _load_model(parser, args)
     spec = CopulaSpec(_COPULAS[args.copula], model)
@@ -105,7 +112,7 @@ def _dispatch(parser, args) -> int:
     if args.command in ("eval", "density"):
         point = SquarePoint(args.u, args.v)
         evaluate = copula_values if args.command == "eval" else copula_density
-        write_output(format_float(float(evaluate(spec, point.u, point.v))), args.out)
+        _emit([format_float(float(evaluate(spec, point.u, point.v)))], args.out)
         return 0
 
     if args.command == "grid":
@@ -118,7 +125,7 @@ def _dispatch(parser, args) -> int:
         dens = copula_density(spec, u, v) if spec.smoothed else np.zeros((n, n))  # singular: a.e. density
         at = np.arange(n)  # row i is (mids[i // n], mids[i % n]): each axis handed over deduplicated
         axes = [(mids, np.repeat(at, n)), (mids, np.tile(at, n))]
-        write_output(csv_text("u,v,value,density", [*axes, values.ravel(), dens.ravel()]), args.out)
+        _emit(csv_text("u,v,value,density", [*axes, values.ravel(), dens.ravel()]), args.out)
         return 0
 
     if args.command in ("validate", "check"):
@@ -126,19 +133,17 @@ def _dispatch(parser, args) -> int:
             report = validate_model(model, spec.orientation, args.grid_n)
         else:
             report = check_copula(spec, args.grid_n)
-        write_output(json_text(report.to_json_dict()), args.out)
+        _emit([json_text(report.to_json_dict())], args.out)
         return 0 if report.verdict else 1
 
     if args.command == "sample":
         batch = sample_batch(spec, args.n, args.seed)
-        if args.gaussian:
-            write_output(csv_text("x,y", to_gaussian(batch).T), args.out)
-        else:
-            write_output(csv_text("u,v", batch.pairs.T), args.out)
+        header, columns = ("x,y", to_gaussian(batch).T) if args.gaussian else ("u,v", batch.pairs.T)
+        _emit(csv_text(header, columns), args.out)
         return 0
 
     # band: the parser admits no other command
-    write_output(json_text(asdict(support_band(model, args.w))), args.out)
+    _emit([json_text(asdict(support_band(model, args.w)))], args.out)
     return 0
 
 

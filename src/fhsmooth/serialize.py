@@ -1,7 +1,9 @@
-"""Text output helpers: 17-significant-digit numbers, JSON, CSV, atomic writes."""
+"""Text output helpers: 17-significant-digit numbers, JSON, CSV pieces, atomic writes."""
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 import sys
@@ -37,8 +39,7 @@ def json_text(obj, indent: int = 0) -> str:
 
 
 _PROBE_ROWS = 4096  # a column's strided subsample, sorted to see whether it repeats at all
-_PIECE_ROWS = 4096  # rows per piece; only one piece's fields are ever whole
-_WRITE_CHARS = 2**20  # characters per write; the encoder copies one slice at a time
+_PIECE_ROWS = 4096  # rows per piece; only one piece's fields and text are ever whole
 
 
 def _column_table(col):
@@ -70,35 +71,33 @@ def _fields(values):
     return np.array(text.encode().split(b"\n")[:-1], dtype=bytes)
 
 
-def csv_text(header: str, columns) -> str:
-    """Columnar float output under a fixed header line.
+def csv_text(header: str, columns):
+    """Columnar float output under a fixed header line, as an iterator of texts.
 
     Each of ``columns`` is a float array or a ``(values, index)`` pair that
     reads ``values[index]``, as ``grid`` hands over its lattice axes; each
     value reads as ``format_float`` spells it.  Repeating columns become
-    fixed-width bytes fields, one per distinct value (see _column_table);
-    each piece of _PIECE_ROWS rows lays them side by side, with "," or a
-    newline after each, and drops the NUL padding.  When no column repeats
-    (sampled pairs), each piece is one "%" over a line template instead.
-    The pieces are joined once under the header: no table of cells or copy
-    of the whole body is ever built.
+    fixed-width bytes fields, one per distinct value (see _column_table),
+    before the iterator is returned.  It yields the header line, then
+    one piece of _PIECE_ROWS rows at a time, built as it is asked for: a
+    piece lays its fields side by side, with "," or a newline after each,
+    and drops the NUL padding; when no column repeats (sampled pairs), it
+    is one "%" over a line template.  The whole text is never held.
     """
     columns = [c if isinstance(c, tuple) else np.asarray(c, dtype=float) for c in columns]
-    # the column tables die with _body_pieces, before the join holds the pieces and the text
-    return "".join([header + "\n", *_body_pieces(columns)])
-
-
-def _body_pieces(columns):
-    """The CSV lines of the columns, one string per _PIECE_ROWS rows."""
     tables = [_column_table(col) for col in columns]
+    return itertools.chain([header + "\n"], _body_pieces(columns, tables))
+
+
+def _body_pieces(columns, tables):
+    """The CSV lines of the columns, one string per _PIECE_ROWS rows."""
     n = len(columns[0] if tables[0] is None else tables[0][1])
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    pieces = []
     for start in range(0, n, _PIECE_ROWS):
         rows = slice(start, start + _PIECE_ROWS)
         if all(t is None for t in tables):  # for unrepeated pairs the template beats fields
             cells = np.column_stack([col[rows] for col in columns])
-            pieces.append((line * len(cells)) % tuple(cells.ravel().tolist()))
+            yield (line * len(cells)) % tuple(cells.ravel().tolist())
             continue
         fields = [_fields(c[rows]) if t is None else t[0][t[1][rows]] for c, t in zip(columns, tables)]
         buf = np.full((len(fields[0]), sum(f.itemsize + 1 for f in fields)), ord(","), dtype=np.uint8)
@@ -108,27 +107,20 @@ def _body_pieces(columns):
             end += f.itemsize + 1
         buf[:, -1] = ord("\n")
         flat = buf.ravel()
-        pieces.append(flat[flat != 0].tobytes().decode("ascii"))  # text never holds a NUL
-    return pieces
+        yield flat[flat != 0].tobytes().decode("ascii")  # text never holds a NUL
 
 
-def write_output(text: str, out_path=None):
-    """Print to stdout, or write atomically (temp file + rename) to a path.
-
-    Both get the same bytes: the text, ending in one newline.  The text goes
-    out in slices of _WRITE_CHARS characters, so encoding it never holds a
-    second whole copy.
-    """
-    if not text.endswith("\n"):
-        text += "\n"
+@contextlib.contextmanager
+def output_file(out_path):
+    """stdout, or a temp file that replaces out_path only if the block ends without raising."""
     if out_path is None:
-        _write_slices(sys.stdout, text)
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fhsmooth-")
     try:
         with os.fdopen(fd, "w") as fh:
-            _write_slices(fh, text)
+            yield fh
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -136,6 +128,6 @@ def write_output(text: str, out_path=None):
         raise
 
 
-def _write_slices(fh, text: str):
-    for start in range(0, len(text), _WRITE_CHARS):
-        fh.write(text[start : start + _WRITE_CHARS])
+def write_output(text: str, fh):
+    """Write the text to fh, ending in a newline."""
+    fh.write(text if text.endswith("\n") else text + "\n")

@@ -120,19 +120,6 @@ def test_grid_command_round_trips(capsys, tmp_path):
     assert np.array_equal(data[:, 3], want_d)
 
 
-def test_grid_makes_one_csv_text_and_one_write_output_call(capsys, monkeypatch):
-    # the benchmark's tracer counts serialize.bytes from the one write_output call
-    import fhsmooth.cli as cli
-
-    calls = []
-    for name in ("csv_text", "write_output"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    code, out, _ = run(capsys, "grid", "--copula", "mbar", "--radius", GAUSS_JSON, "--grid-n", "70")
-    assert code == 0 and out.count("\n") == 70 * 70 + 1  # 4900 rows: two csv_text pieces
-    assert calls == ["csv_text", "write_output"]
-
-
 @pytest.mark.parametrize("copula, family, radius, n", [
     ("mbar", "smoothed_upper", GAUSS_JSON, 64),
     ("wbar", "smoothed_lower", '{"kind":"product","p":[1.0],"q":[0.25,0,-0.5]}', 64),
@@ -288,19 +275,31 @@ def test_a_radius_that_overflows_exits_two_with_one_line(capsys, radius, message
     assert err.count("\n") == 1
 
 
+JET_OVERFLOW = '{"kind":"product","p":[1,0,0,0,4e155],"q":[1,0,0,0,4e155]}'
+
+
 @pytest.mark.parametrize("argv", [
-    ("density", "--u", "0.95", "--v", "0.9"), ("validate",), ("check",),
-], ids=["density", "validate", "check"])
+    ("density", "--u", "0.95", "--v", "0.9"), ("validate",), ("check",), ("grid",), ("sample", "--n", "5"),
+], ids=["density", "validate", "check", "grid", "sample"])
 def test_a_jet_that_overflows_exits_two_with_one_line(capsys, argv):
     # r is finite on the diamond, p'q and p''q are not; before, density printed an overflow
-    # warning and then inf with exit 0, and validate and check warned before their reports
-    radius = '{"kind":"product","p":[1,0,0,0,4e155],"q":[1,0,0,0,4e155]}'
+    # warning and then inf with exit 0, and validate and check warned before their reports;
+    # grid and sample fail before their header is written
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, argv[0], "--copula", "mbar", "--radius", radius, *argv[1:])
+        code, out, err = run(capsys, argv[0], "--copula", "mbar", "--radius", JET_OVERFLOW, *argv[1:])
     assert (code, out, caught) == (2, "", [])
     assert err.startswith("error: max over z of |p'q| must be finite across the diamond; found inf at ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("grid",), ("sample", "--n", "5")], ids=["grid", "sample"])
+def test_a_jet_that_overflows_leaves_no_out_file(capsys, tmp_path, argv):
+    # neither the target nor a temp file beside it is left behind
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, argv[0], "--copula", "mbar", "--radius", JET_OVERFLOW, *argv[1:], "--out", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: max over z of |p'q|")
+    assert not path.exists() and not list(tmp_path.glob(".fhsmooth-*"))
 
 
 def test_file_errors_exit_two(capsys, tmp_path):

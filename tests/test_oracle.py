@@ -6,7 +6,8 @@ import pytest
 from fhsmooth.copulas import CopulaSpec, smoothed_value
 from band_helpers import band_average, band_average_second_partials, kernel_outputs
 from fhsmooth.geometry import SQRT2, DiamondPoint, Orientation, SquarePoint, wz_to_uv
-from fhsmooth.oracle import OracleRequest, disc_average, fd_second_partials
+from fhsmooth import oracle
+from fhsmooth.oracle import OracleError, OracleRequest, disc_average, fd_second_partials
 from fhsmooth.radius import constant_radius, gaussian_band_radius, product_radius
 
 
@@ -17,6 +18,13 @@ def test_request_validation():
         OracleRequest("abs_w", DiamondPoint(0, 0), -0.1)
     with pytest.raises(ValueError):
         OracleRequest("abs_w", DiamondPoint(0, 0), 0.1, rel_tol=1e-13)
+
+
+def test_disc_average_raises_at_the_refinement_cap(monkeypatch):
+    # one level leaves no two successive levels to agree
+    monkeypatch.setattr(oracle, "_LEVELS", (8,))
+    with pytest.raises(OracleError, match="refinement cap reached"):
+        disc_average(OracleRequest("abs_z", DiamondPoint(0.0, 0.0), 0.2))
 
 
 def test_disc_average_abs_z_centered():

@@ -118,7 +118,7 @@ def test_to_gaussian_values():
 
 def test_csv_serialization_17_digits():
     batch = sample_batch(GAUSS, 3, seed=1)
-    text = csv_text("u,v", batch.pairs.T)
+    text = "".join(csv_text("u,v", batch.pairs.T))
     lines = text.strip().split("\n")
     assert lines[0] == "u,v"
     parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])

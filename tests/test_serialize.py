@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhsmooth import serialize
-from fhsmooth.copulas import CopulaSpec, copula_values
-from fhsmooth.serialize import csv_text, format_float, write_output
+from fhsmooth.cli import main
+from fhsmooth.serialize import csv_text, format_float, json_text, output_file, write_output
 
 EDGE_VALUES = [
     math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
@@ -19,11 +19,11 @@ EDGE_VALUES = [
 def test_csv_text_writes_each_value_as_format_float():
     rows = np.array(EDGE_VALUES).reshape(-1, 2)
     want = "a,b\n" + "".join(f"{format_float(x)},{format_float(y)}\n" for x, y in rows)
-    assert csv_text("a,b", rows.T) == want
+    assert "".join(csv_text("a,b", rows.T)) == want
     for k in (1, 7):
         col = np.array(EDGE_VALUES).reshape(-1, k)
         lines = [",".join(format_float(x) for x in row) for row in col]
-        assert csv_text("h", col.T) == "\n".join(["h", *lines]) + "\n"
+        assert "".join(csv_text("h", col.T)) == "\n".join(["h", *lines]) + "\n"
 
 
 def test_format_float_literals():
@@ -42,8 +42,13 @@ def test_format_float_round_trips():
         assert float(format_float(x)) == x
 
 
+def test_json_text_rejects_a_type_it_cannot_spell():
+    with pytest.raises(TypeError, match="cannot serialize list"):
+        json_text([1])
+
+
 def test_csv_text_with_no_rows_is_the_header():
-    assert csv_text("u,v", [np.empty(0)] * 2) == "u,v\n"
+    assert "".join(csv_text("u,v", [np.empty(0)] * 2)) == "u,v\n"
 
 
 # bit patterns a column must keep apart: -0.0 beside 0.0, NaNs with other
@@ -77,7 +82,7 @@ def csv_rows(draw):
 
 @given(csv_rows())
 def test_csv_text_matches_per_cell_format_float(rows):
-    assert csv_text("h", rows.T) == per_cell_csv("h", rows)
+    assert "".join(csv_text("h", rows.T)) == per_cell_csv("h", rows)
 
 
 @pytest.mark.parametrize("column", [
@@ -90,7 +95,7 @@ def test_csv_text_matches_per_cell_format_float(rows):
 ], ids=["signed-zeros", "nan-payloads", "inf-subnormal", "all-equal", "all-distinct", "empty"])
 def test_csv_text_edge_columns(column):
     rows = np.column_stack([column, column[::-1], np.zeros_like(column)])
-    assert csv_text("a,b,c", rows.T) == per_cell_csv("a,b,c", rows)
+    assert "".join(csv_text("a,b,c", rows.T)) == per_cell_csv("a,b,c", rows)
 
 
 PIECE = serialize._PIECE_ROWS
@@ -105,7 +110,7 @@ def test_csv_text_pieces_join_at_every_boundary(n):
     direct[::97] = SPECIALS[np.arange(direct[::97].size) % SPECIALS.size]
     rows = np.column_stack([shared, direct, shared[::-1]])
     assert [serialize._column_table(col) is None for col in rows.T] == [False, True, False]
-    assert csv_text("a,b,c", rows.T) == per_cell_csv("a,b,c", rows)
+    assert "".join(csv_text("a,b,c", rows.T)) == per_cell_csv("a,b,c", rows)
 
 
 WIDE = [0.0, math.nan, -2.2250738585072014e-308]  # fields of 1, 3 and 24 characters
@@ -139,38 +144,35 @@ def test_csv_text_of_indexed_columns_matches_their_expanded_floats(columns):
     want = per_cell_csv("h", np.column_stack(expanded))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(serialize, "_PIECE_ROWS", SMALL_PIECE)
-        assert csv_text("h", columns) == want
-        assert csv_text("h", expanded) == want
+        assert "".join(csv_text("h", columns)) == want
+        assert "".join(csv_text("h", expanded)) == want
 
 
-def test_write_output_slices_give_stdout_and_file_the_same_bytes(capsys, tmp_path):
-    size = 2 * serialize._WRITE_CHARS + 3
-    text = "\n".join(map(str, range(size // 6)))[: size - 1] + "x"  # no final newline
-    assert len(text) == size
-    write_output(text)
+def test_output_file_gives_stdout_and_file_the_same_bytes(capsys, tmp_path):
+    texts = ["a,b\n", "0.5,-0\n" * 3, "{\n}"]  # the last without its final newline
+    for out_path in (None, tmp_path / "out.csv"):
+        with output_file(out_path) as fh:
+            for text in texts:
+                write_output(text, fh)
     out = capsys.readouterr().out
-    write_output(text, tmp_path / "out.csv")
-    assert out == text + "\n"
+    assert out == "".join(texts) + "\n"
     assert (tmp_path / "out.csv").read_bytes() == out.encode()
 
 
-def _fail_after_one_slice(fh, text):
-    fh.write(text[: serialize._WRITE_CHARS])
-    raise OSError("No space left on device")
-
-
 @pytest.mark.parametrize("target, fail", [("out.csv", "write"), ("taken", "rename")])
-def test_write_output_failure_leaves_no_temp_file_and_the_target_untouched(monkeypatch, tmp_path, target, fail):
-    # a write that fails after its first slice, and a rename onto a directory:
+def test_write_output_failure_leaves_no_temp_file_and_the_target_untouched(tmp_path, target, fail):
+    # a write that fails after the first piece, and a rename onto a directory:
     # the temp file is removed and the error reaches the caller
     path = tmp_path / target
     if fail == "write":
         path.write_text("old\n")
-        monkeypatch.setattr(serialize, "_write_slices", _fail_after_one_slice)
     else:
         path.mkdir()
     with pytest.raises(OSError):
-        write_output("0.5\n" * serialize._WRITE_CHARS, path)
+        with output_file(path) as fh:
+            write_output("0.5\n" * 2**16, fh)  # more than the file's buffer: bytes reach the temp file
+            if fail == "write":
+                raise OSError("No space left on device")
     assert not list(tmp_path.glob(".fhsmooth-*"))
     if fail == "write":
         assert path.read_text() == "old\n"
@@ -178,32 +180,15 @@ def test_write_output_failure_leaves_no_temp_file_and_the_target_untouched(monke
         assert path.is_dir() and not list(path.iterdir())
 
 
-def traced_peak(call):
-    """(result, tracemalloc peak in bytes) of call()."""
+def test_grid_out_peaks_below_twice_its_file(tmp_path):
+    # written piece by piece as it is built, a 256^2 gauss-1 grid peaks at 1.7x its
+    # file; a body joined before it is written peaks at 2.6x to 3.1x
+    argv = ["grid", "--copula", "mbar", "--radius", '{"kind":"gaussian_band","d":1.0}', "--out"]
+    assert main([*argv, str(tmp_path / "warm.csv"), "--grid-n", "8"]) == 0  # imports outside the trace
     tracemalloc.start()
     try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
+        assert main([*argv, str(tmp_path / "out.csv"), "--grid-n", "256"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_csv_text_of_a_lattice_peaks_below_three_times_its_text():
-    # the rows of `grid --copula m --grid-n 256`, whose four columns all repeat;
-    # whole-body cells, their tuple and a header-prefixed copy peaked at 4.1x
-    n = 256
-    mids = (np.arange(n) + 0.5) / n
-    u, v = np.repeat(mids, n), np.tile(mids, n)
-    columns = [u, v, copula_values(CopulaSpec("fh_upper"), u, v), np.zeros(n * n)]
-    csv_text("u,v,value,density", [c[:n] for c in columns])  # warm up outside the trace
-    text, peak = traced_peak(lambda: csv_text("u,v,value,density", columns))
-    assert peak < 3.0 * len(text)
-
-
-def test_write_output_to_a_file_peaks_below_three_quarters_of_its_text(tmp_path):
-    # encoding the text in one write held a second whole copy: a peak of 1.0x
-    text = "0.33333333333333331,-0\n" * (2**22 // 23 + 1)
-    assert len(text) >= 2**22
-    write_output("warm-up", tmp_path / "warm.csv")
-    _, peak = traced_peak(lambda: write_output(text, tmp_path / "out.csv"))
-    assert peak <= 0.75 * len(text)
+    assert peak < 2.0 * (tmp_path / "out.csv").stat().st_size

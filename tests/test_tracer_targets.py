@@ -10,7 +10,8 @@ check every target, and install and remove the tracer once.  The
 benchmark's report checks are also run on real reports, since they call
 methods of fhsmooth results that no parse can see, and one traced copula
 call pins the spans and point counts the tracer records for a call that
-fhsmooth evaluates in blocks.
+fhsmooth evaluates in blocks.  The tracer's byte count of CSV output is
+pinned the same way, against the files the CLI writes.
 """
 
 import ast
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import fhsmooth
-from fhsmooth import checker
+from fhsmooth import checker, cli
 from fhsmooth.checker import check_copula
 from fhsmooth.copulas import CopulaSpec
 from fhsmooth.radius import constant_radius, gaussian_band_radius
@@ -118,3 +119,19 @@ def test_tracer_counts_blocked_density():
         nested = [s for s in spans if s[0] == layer]
         assert len(nested) == 8 and all(s[3] == top[0] for s in nested)
         assert sum(s[4] for s in nested) == 512 * 512
+
+
+def test_tracer_counts_every_byte_of_csv_output(tmp_path):
+    # serialize.bytes sums the points of every serialize.write span, one per
+    # CSV text; a 70^2 grid is two pieces (4096 and 804 rows) under its header
+    tracing = _load(TRACING, "perfbench_tracing")
+    gauss = '{"kind":"gaussian_band","d":1.0}'
+    for argv in (("grid", "--grid-n", "70"), ("sample", "--n", "300", "--seed", "3")):
+        path = tmp_path / f"{argv[0]}.csv"
+        with tracing.Tracer().installed() as tracer:
+            assert cli.main([*argv, "--copula", "mbar", "--radius", gauss, "--out", str(path)]) == 0
+        spans = tracer.take()
+        writes = [s[4] for s in spans if s[0] == "serialize.write"]
+        assert sum(writes) == path.stat().st_size
+        assert len(writes) == (3 if argv[0] == "grid" else 2)  # the header, then each piece
+        assert [s[0] for s in spans].count("serialize.csv") == 1
