@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fhsmooth import serialize
 from fhsmooth.cli import main
+from fhsmooth.copulas import CopulaSpec, copula_values
 from fhsmooth.serialize import csv_text, format_float, json_text, output_file, write_output
 
 EDGE_VALUES = [
@@ -192,3 +193,44 @@ def test_grid_out_peaks_below_twice_its_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2.0 * (tmp_path / "out.csv").stat().st_size
+
+
+def traced_peak(call):
+    """(result, tracemalloc peak in bytes) of call()."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_text_of_a_lattice_peaks_below_three_times_its_text():
+    # the rows of `grid --copula m --grid-n 256`, whose four columns all repeat, joined
+    # here by the caller: the pieces and their join peak at 2.0x; whole-body cells,
+    # their tuple and a header-prefixed copy peaked at 4.1x
+    n = 256
+    mids = (np.arange(n) + 0.5) / n
+    u, v = np.repeat(mids, n), np.tile(mids, n)
+    columns = [u, v, copula_values(CopulaSpec("fh_upper"), u, v), np.zeros(n * n)]
+    "".join(csv_text("u,v,value,density", [c[:n] for c in columns]))  # warm up outside the trace
+    text, peak = traced_peak(lambda: "".join(csv_text("u,v,value,density", columns)))
+    assert peak < 3.0 * len(text)
+
+
+def test_write_output_to_a_file_peaks_below_three_quarters_of_its_text(tmp_path):
+    # 2^17 sampled pairs (5 MiB of text) written piece by piece as csv_text builds
+    # them peak at 0.14x; a text held whole before it is written peaks at 1.0x or more
+    rng = np.random.default_rng(0)
+    columns = [rng.random(2**17), rng.random(2**17)]
+
+    def write(path):
+        with output_file(path) as fh:
+            for text in csv_text("u,v", columns):
+                write_output(text, fh)
+
+    write(tmp_path / "warm.csv")
+    _, peak = traced_peak(lambda: write(tmp_path / "out.csv"))
+    size = (tmp_path / "out.csv").stat().st_size
+    assert size >= 2**22
+    assert peak <= 0.75 * size
