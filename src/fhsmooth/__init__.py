@@ -27,13 +27,11 @@ from .radius import (
     ModelSpecError,
     ProductRadius,
     RadiusEvalError,
-    SupportBand,
     constant_radius,
     gaussian_band_radius,
     model_from_json,
     model_to_json,
     product_radius,
-    support_band,
 )
 from .sampler import (
     InvalidModelError,

@@ -22,7 +22,7 @@ gaussian band).  The rule takes Gauss-Legendre nodes in the singular
 coordinate s and, across the band between its edges t-(s) and t+(s),
 substitutes t = mid + half*sin(theta) with Gauss-Legendre nodes in theta,
 which absorbs the sqrt(1 - rho^2) behaviour of g'' at the band edges.  The
-edges come from ``radius.band_edges``, the solver behind ``support_band``
+edges come from ``radius.band_edges``, the solver behind the CLI's ``band``
 too; they are clipped to the diamond, so a band that spills over the
 boundary (e.g. the constant model) is integrated over the square only.
 The rule's Gauss-Legendre nodes and weights are built once, at import.

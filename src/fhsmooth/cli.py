@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from .checker import check_copula
 # smoothed_value is unused here, but perfbench's tracer wraps cli.smoothed_value
 from .copulas import CopulaSpec, copula_density, copula_values, smoothed_value  # noqa: F401
-from .geometry import SquarePoint
-from .radius import RadiusEvalError, model_from_json, support_band
+from .geometry import DIAMOND_RADIUS, DomainError, Orientation, SquarePoint
+from .radius import RadiusEvalError, band_edges, model_from_json
 from .sampler import InvalidModelError, sample_batch, to_gaussian
 from .serialize import csv_text, format_float, json_text, output_file, write_output
 from .validator import validate_model
@@ -142,8 +142,13 @@ def _dispatch(parser, args) -> int:
         _emit(csv_text(header, columns), args.out)
         return 0
 
-    # band: the parser admits no other command
-    _emit([json_text(asdict(support_band(model, args.w)))], args.out)
+    # band: the parser admits no other command; edges clipped to the diamond (zero width at its corners)
+    w = args.w
+    if not abs(w) <= DIAMOND_RADIUS:
+        raise DomainError(f"w={w!r} outside the diamond, |w| <= 1/sqrt(2)")
+    lower, upper = (float(e[0]) for e in band_edges(model, Orientation.UPPER_M, np.array([w])))
+    kappa = upper / abs(lower) if lower < 0 else math.inf
+    _emit([json_text({"w": w, "lower": lower, "upper": upper, "kappa": kappa})], args.out)
     return 0
 
 

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import DIAMOND_RADIUS, SQRT2, DomainError, Orientation
+from .geometry import DIAMOND_RADIUS, SQRT2, Orientation
 from .kernel import std_normal_pdf
 
 _AXIS_INSET = 1e-9  # positivity is required on the open diamond only
@@ -72,16 +72,6 @@ class ModelSpecError(ValueError):
 
 class RadiusEvalError(RuntimeError):
     """Radius evaluation failed at a specific point."""
-
-
-@dataclass(frozen=True)
-class SupportBand:
-    """Transverse band [lower, upper] at position w, and the skew ratio kappa."""
-
-    w: float
-    lower: float
-    upper: float
-    kappa: float  # upper/|lower|; +inf sentinel when lower >= 0
 
 
 def _require_sweep(vals, label: str, positive: bool = True):
@@ -130,16 +120,21 @@ class ProductRadius:
 
     p_coeffs: tuple
     q_coeffs: tuple
-    epsilon: Optional[float] = None
+    epsilon: Optional[float] = None  # the skew q = (1, sqrt(2)*epsilon) was built from, if any
     kind = "product"
 
     def __post_init__(self):
+        if self.epsilon is not None and not math.isfinite(self.epsilon):
+            raise ModelSpecError(f"epsilon must be a finite real, got {self.epsilon!r}")
         for name in ("p_coeffs", "q_coeffs"):
             raw = getattr(self, name)
             coeffs = tuple(float(c) for c in raw)
             if not coeffs or not all(math.isfinite(c) for c in coeffs):
                 raise ModelSpecError(f"{name} must be a nonempty list of finite reals")
             object.__setattr__(self, name, coeffs)
+        # model_to_json keeps epsilon alone, so a q it does not give would be lost
+        if self.epsilon is not None and self.q_coeffs != (1.0, SQRT2 * self.epsilon):
+            raise ModelSpecError(f"q_coeffs must be (1, sqrt(2)*epsilon) for epsilon={self.epsilon!r}")
         with np.errstate(over="ignore"):  # an overflow is a ModelSpecError below, not a warning
             p, q = (npoly.polyval(_SWEEP_XS, c) for c in (self.p_coeffs, self.q_coeffs))
             _require_sweep(p, "p(w)")
@@ -301,21 +296,6 @@ def band_edges(model, o: Orientation, s):
         inside = (cand > lo) & (cand < hi)
         tau = np.where(done, tau, np.where(inside, cand, 0.5 * (lo + hi)))
     return -tau[s.size:], tau[: s.size]
-
-
-def support_band(model, w: float) -> SupportBand:
-    """Transverse support band of the upper family at position w on the singular axis.
-
-    The edges come from ``band_edges``, so a band that spills over the
-    diamond is clipped to it, and at the corners w = +-1/sqrt(2) the band
-    has zero width.  w must lie on the diamond.
-    """
-    w = float(w)
-    if not abs(w) <= DIAMOND_RADIUS:
-        raise DomainError(f"w={w!r} outside the diamond, |w| <= 1/sqrt(2)")
-    lower, upper = (float(e[0]) for e in band_edges(model, Orientation.UPPER_M, np.array([w])))
-    kappa = upper / abs(lower) if lower < 0 else math.inf
-    return SupportBand(w, lower, upper, kappa)
 
 
 #: kind -> (factory, its JSON keys besides "kind"): the factory's keyword names, the first required

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from band_helpers import rectangle_volume
 from fhsmooth.copulas import CopulaSpec, copula_density, copula_partials, copula_values
-from fhsmooth.geometry import DIAMOND_RADIUS, DiamondPoint, diamond_margin, uv_to_wz, wz_to_uv
+from fhsmooth.geometry import DIAMOND_RADIUS, DiamondPoint, Orientation, diamond_margin, uv_to_wz, wz_to_uv
 from fhsmooth.oracle import OracleRequest, disc_average, fd_second_partials
 from fhsmooth.radius import (
     constant_radius,
@@ -100,6 +100,46 @@ def test_boundary_values_lie_on_both_sharp_bounds(spec, t, edge, on_u):
     c = float(copula_values(spec, u, v))
     for bound in (CopulaSpec("fh_lower"), CopulaSpec("fh_upper")):
         assert abs(c - float(copula_values(bound, u, v))) <= 1e-12
+
+
+class Reflected:
+    """r'(w, z) = r(-z, -w), with its jet: an involution that trades the band's axis z = 0 for w = 0."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def radius(self, w, z):
+        return self.model.radius(-np.asarray(z, float), -np.asarray(w, float))
+
+    def jet(self, w, z):
+        r, r_w, r_z, r_ww, r_zz = self.model.jet(-np.asarray(z, float), -np.asarray(w, float))
+        return r, -r_z, -r_w, r_zz, r_ww
+
+
+ULP = float(np.spacing(1.0))
+
+
+@given(candidates, unit, unit)
+def test_the_lower_family_is_the_upper_one_reflected(spec, u, v):
+    # for a lower model r and r'(w, z) = r(-z, -w): Wbar_r(u, v) = u - Mbar_r'(u, 1 - v), so
+    # dWbar/du = 1 - dMbar'/du, dWbar/dv = dMbar'/dv and c_W(u, v) = c_M'(u, 1 - v).  Each
+    # candidate is reflected into the other family: both directions are run.  The two sides
+    # round a point's (w, z) differently, so the partials differ by about ulp(1) times the
+    # density, which grows like 1/distance to a corner of the singular axis, and the density
+    # by a relative ulp(1)/distance, times 1/|1 - |rho||, its conditioning at the band's edge
+    assume(validate_model(spec.model, spec.orientation, 64).verdict)
+    is_lower = spec.orientation is Orientation.LOWER_W
+    reflected = CopulaSpec("smoothed_upper" if is_lower else "smoothed_lower", Reflected(spec.model))
+    lower, upper = (spec, reflected) if is_lower else (reflected, spec)
+    dist = min(np.hypot(u, 1.0 - v), np.hypot(1.0 - u, v))  # to the corners (0, 1) and (1, 0)
+    assert abs(float(copula_values(lower, u, v)) - (u - float(copula_values(upper, u, 1.0 - v)))) <= 8 * ULP
+    assume(dist >= 1e-12)  # nearer still, r rounds to 0 on one side only
+    (du, dv), (du_r, dv_r) = copula_partials(lower, u, v), copula_partials(upper, u, 1.0 - v)
+    assert max(abs(du - (1.0 - du_r)), abs(dv - dv_r)) <= 64 * ULP / dist
+    c, c_r = float(copula_density(lower, u, v)), float(copula_density(upper, u, 1.0 - v))
+    w, z = (float(x) for x in uv_to_wz(u, v))
+    seam = max(abs(1.0 - abs(w / float(lower.model.radius(w, z)))), ULP)
+    assert abs(c - c_r) <= 256 * ULP / (dist * seam) * max(abs(c), 1.0)
 
 
 FD_STEP = 1e-3

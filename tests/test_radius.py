@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -9,19 +11,19 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from fhsmooth import cli
 from fhsmooth.checker import _MASS_NODES
-from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, DomainError, Orientation, uv_to_wz
+from fhsmooth.geometry import DIAMOND_RADIUS, SQRT2, Orientation, uv_to_wz
 from fhsmooth.kernel import std_normal_quantile
 from fhsmooth.radius import (
     ModelSpecError,
-    SupportBand,
+    ProductRadius,
     band_edges,
     constant_radius,
     gaussian_band_radius,
     model_from_json,
     model_to_json,
     product_radius,
-    support_band,
 )
 from fhsmooth.validator import validate_model
 
@@ -222,28 +224,51 @@ def test_construction_validation():
     product_radius([0.6, 0, -1.2], epsilon=0.0)
 
 
+def edges(model, w):
+    """The band edges (lower, upper) of the upper family at one w, as floats."""
+    return tuple(float(e[0]) for e in band_edges(model, Orientation.UPPER_M, np.array([w])))
+
+
+def run_band(model, w):
+    """(exit code, stdout, stderr) of the `band` command on model at w."""
+    argv = ["band", "--copula", "mbar", "--radius", json.dumps(model_to_json(model)), f"--w={float(w)!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def band_json(model, w):
+    """The `band` command's JSON on model at w, each value a float: "-0" keeps its sign, "inf" is inf."""
+    code, out, err = run_band(model, w)
+    assert (code, err) == (0, "")
+    return {key: float(x) for key, x in json.loads(out, parse_int=float).items()}
+
+
 def test_support_band_constant():
-    band = support_band(constant_radius(0.2), 0.3)
-    assert (band.lower, band.upper, band.kappa) == (-0.2, 0.2, 1.0)
+    m = constant_radius(0.2)
+    assert edges(m, 0.3) == (-0.2, 0.2)
+    assert band_json(m, 0.3)["kappa"] == 1.0
 
 
 def test_support_band_product_skew():
     m = product_radius([0.25, 0, -0.2], epsilon=0.3)
-    band = support_band(m, 0.0)
+    lower, upper = edges(m, 0.0)
+    kappa = band_json(m, 0.0)["kappa"]
     s = 0.3 * SQRT2 * 0.25
-    assert band.lower == pytest.approx(-0.25 / (1 + s), abs=1e-15)
-    assert band.upper == pytest.approx(0.25 / (1 - s), abs=1e-15)
-    assert band.kappa == pytest.approx((1 + s) / (1 - s), abs=1e-14)
-    assert band.kappa == pytest.approx(band.upper / abs(band.lower), abs=1e-14)
+    assert lower == pytest.approx(-0.25 / (1 + s), abs=1e-15)
+    assert upper == pytest.approx(0.25 / (1 - s), abs=1e-15)
+    assert kappa == pytest.approx((1 + s) / (1 - s), abs=1e-14)
+    assert kappa == pytest.approx(upper / abs(lower), abs=1e-14)
 
 
 def test_support_band_gaussian():
     m = gaussian_band_radius(1.0)
-    band = support_band(m, 0.0)
+    lower, upper = edges(m, 0.0)
     r_exact = SQRT2 * (erf_cdf(0.5) - 0.5)
-    assert band.upper == pytest.approx(r_exact, abs=1e-13)
-    assert band.lower == pytest.approx(-r_exact, abs=1e-13)
-    assert band.kappa == 1.0
+    assert upper == pytest.approx(r_exact, abs=1e-13)
+    assert lower == pytest.approx(-r_exact, abs=1e-13)
+    assert band_json(m, 0.0)["kappa"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -253,19 +278,24 @@ def test_support_band_gaussian():
 )
 def test_support_band_rejects_w_off_the_diamond(model):
     for w in (5.0, -0.8, L + 1e-9, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            support_band(model, w)
-    assert support_band(model, -0.3).w == -0.3
+        # the DomainError's text, reported as an input error
+        assert run_band(model, w) == (2, "", f"error: w={w!r} outside the diamond, |w| <= 1/sqrt(2)\n")
+    assert band_json(model, -0.3)["w"] == -0.3
 
 
 INTERIOR_W = np.linspace(-L, L, 403)[1:-1]  # 401 values strictly inside
+CLI_W = range(0, INTERIOR_W.size, 20)  # 21 of them, both ends included, also through the CLI
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
 def test_support_band_gaussian_is_the_radius(d):
     m = gaussian_band_radius(d)
-    for w, r in zip(INTERIOR_W, m.radius(INTERIOR_W, 0.0)):
-        assert support_band(m, w) == SupportBand(w, -r, r, 1.0)
+    r = m.radius(INTERIOR_W, 0.0)
+    lower, upper = band_edges(m, Orientation.UPPER_M, INTERIOR_W)
+    assert lower.tolist() == (-r).tolist() and upper.tolist() == r.tolist()
+    for i in CLI_W:
+        want = {"w": INTERIOR_W[i], "lower": -r[i], "upper": r[i], "kappa": 1.0}
+        assert band_json(m, INTERIOR_W[i]) == want
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.2, -0.2])
@@ -274,8 +304,12 @@ def test_support_band_affine_product_closed_form(eps):
     m = product_radius([0.25, 0, -0.5], epsilon=eps)
     assert validate_model(m, Orientation.UPPER_M, 64).verdict
     (q0, q1), p = m.q_coeffs, np.polynomial.polynomial.polyval(INTERIOR_W, m.p_coeffs)
-    for w, lo, up in zip(INTERIOR_W, -p * q0 / (1.0 + p * q1), p * q0 / (1.0 - p * q1)):
-        assert support_band(m, w) == SupportBand(w, lo, up, up / -lo)
+    lo, up = -p * q0 / (1.0 + p * q1), p * q0 / (1.0 - p * q1)
+    lower, upper = band_edges(m, Orientation.UPPER_M, INTERIOR_W)
+    assert lower.tolist() == lo.tolist() and upper.tolist() == up.tolist()
+    for i in CLI_W:
+        want = {"w": INTERIOR_W[i], "lower": lo[i], "upper": up[i], "kappa": up[i] / -lo[i]}
+        assert band_json(m, INTERIOR_W[i]) == want
 
 
 @pytest.mark.parametrize(
@@ -283,21 +317,23 @@ def test_support_band_affine_product_closed_form(eps):
 )
 def test_support_band_zero_width_at_the_corners(model):
     for w in (L, -L):  # r is NaN (gaussian) or a ~1e-16 residue (product) there
-        band = support_band(model, w)
-        assert (str(band.lower), band.upper, band.kappa) == ("-0.0", 0.0, math.inf)
+        lower, upper = edges(model, w)
+        assert (str(lower), upper) == ("-0.0", 0.0)
+        band = band_json(model, w)
+        assert (str(band["lower"]), band["upper"], band["kappa"]) == ("-0.0", 0.0, math.inf)
 
 
 def test_support_band_clipped_to_the_diamond():
-    band = support_band(constant_radius(0.2), 0.6)  # spills over the boundary
-    assert band.lower == -band.upper and 0.0 <= (L - 0.6) - band.upper <= 1e-14
+    lower, upper = edges(constant_radius(0.2), 0.6)  # spills over the boundary
+    assert lower == -upper and 0.0 <= (L - 0.6) - upper <= 1e-14
     # p*q1 > 1: the upper edge has no root and closes on the boundary
-    band = support_band(product_radius([0.9], epsilon=0.9), 0.0)
-    assert 0.0 <= L - band.upper <= 1e-14
-    assert band.lower == pytest.approx(-0.9 / (1.0 + 0.9 * 0.9 * SQRT2), abs=1e-14)
-    assert band.lower == -0.9 / (1.0 + 0.9 * (SQRT2 * 0.9))  # -p/(1 + p*q1) in float64
+    lower, upper = edges(product_radius([0.9], epsilon=0.9), 0.0)
+    assert 0.0 <= L - upper <= 1e-14
+    assert lower == pytest.approx(-0.9 / (1.0 + 0.9 * 0.9 * SQRT2), abs=1e-14)
+    assert lower == -0.9 / (1.0 + 0.9 * (SQRT2 * 0.9))  # -p/(1 + p*q1) in float64
     # a non-affine q: |z| = 0.25 - 0.5*z^2 has the roots +-(sqrt(1.5) - 1)
-    band = support_band(product_radius([1.0], q=[0.25, 0, -0.5]), 0.1)
-    assert band.upper == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-14) == -band.lower
+    lower, upper = edges(product_radius([1.0], q=[0.25, 0, -0.5]), 0.1)
+    assert upper == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-14) == -lower
 
 
 def bits(a):
@@ -439,6 +475,21 @@ def test_product_coefficients_must_be_a_nonempty_list_of_finite_reals(p, q):
     # np.min over a NaN sweep is NaN, which `<= 0` lets pass; an empty list has no polynomial
     with pytest.raises(ModelSpecError, match="must be a nonempty list of finite reals"):
         product_radius(p, q=q)
+
+
+def test_product_epsilon_must_be_what_q_is_built_from():
+    # model_to_json writes epsilon alone, so a q that contradicts it was read back as another model
+    with pytest.raises(ModelSpecError, match=r"^q_coeffs must be \(1, sqrt\(2\)\*epsilon\) for epsilon=0.1$"):
+        ProductRadius((0.25, 0, -0.5), (1.0, 0.5), epsilon=0.1)
+    m = ProductRadius((0.25, 0, -0.5), (1.0, SQRT2 * 0.1), epsilon=0.1)
+    assert m == product_radius([0.25, 0, -0.5], epsilon=0.1) == model_from_json(json.dumps(model_to_json(m)))
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_product_epsilon_must_be_finite(value):
+    # json.loads takes these; the error names epsilon, not the q built from it
+    with pytest.raises(ModelSpecError, match=r"^epsilon must be a finite real, got -?(nan|inf)$"):
+        model_from_json('{"kind":"product","p":[0.25,0,-0.5],"epsilon":%s}' % value)
 
 
 @pytest.mark.parametrize("text, key", [

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 import fhsmooth.sampler as sampler
-from fhsmooth.copulas import CopulaSpec, copula_density, copula_partials
+from fhsmooth.copulas import CopulaSpec, copula_density, copula_partials, copula_values
 from fhsmooth.geometry import DomainError, uv_to_wz
 from fhsmooth.radius import constant_radius, gaussian_band_radius
 from fhsmooth.sampler import (
@@ -95,6 +96,26 @@ def test_sample_batch_marginals():
     crit = 1.5 * 1.36 / math.sqrt(20_000)
     assert ks_uniform(batch.pairs[:, 0]) <= crit
     assert ks_uniform(batch.pairs[:, 1]) <= crit
+
+
+CHI2_PAIRS, CHI2_SEED, CHI2_P_MIN = 50_000, 2611, 1e-6  # fixed before the first run
+CHI2_EDGES = np.linspace(0.0, 1.0, 17)
+
+
+@pytest.mark.parametrize("spec", VALIDATING_SPECS, ids=lambda s: f"{s.family}-{s.model.kind}")
+def test_sample_batch_follows_the_copula_in_16x16_cells(spec):
+    # Pearson's chi-squared of the pairs' counts against n times the cells'
+    # C-volumes, the cells expecting at most 5 pooled into one: the joint law,
+    # which the margins' KS checks do not see
+    pairs = sample_batch(spec, CHI2_PAIRS, CHI2_SEED).pairs
+    seen = np.histogram2d(pairs[:, 0], pairs[:, 1], [CHI2_EDGES, CHI2_EDGES])[0].ravel()
+    c = copula_values(spec, CHI2_EDGES[:, None], CHI2_EDGES)
+    want = (c[1:, 1:] - c[1:, :-1] - c[:-1, 1:] + c[:-1, :-1]).ravel() * CHI2_PAIRS
+    sparse = want <= 5.0
+    seen = np.append(seen[~sparse], seen[sparse].sum())
+    want = np.append(want[~sparse], want[sparse].sum())
+    stat = np.sum((seen - want) ** 2 / want)
+    assert chdtrc(want.size - 1, stat) > CHI2_P_MIN, (stat, want.size - 1)
 
 
 def test_rejects_non_validating_model():

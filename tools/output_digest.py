@@ -10,7 +10,7 @@ of ``perfbench/workloads.model_catalogue``, passed as its ``model_to_json``:
   whose 4096-row CSV pieces end mid-row;
 * ``sample --n 2000`` at a fixed seed;
 * ``eval`` and ``density`` at fixed points, and ``band`` at fixed w for the
-  ``mbar`` models;
+  ``mbar`` models, a band clipped to the diamond and its two corners among them;
 
 and ``grid``, ``check`` and ``eval`` for the sharp bounds ``w`` and ``m``.
 Each line is one (model, command): a digest over the exit code, stdout and
@@ -43,7 +43,7 @@ MODELS = {
     for key, spec in model_catalogue().items()
 }
 POINTS = [("0.5", "0.5"), ("0.3", "0.35"), ("0.7", "0.62"), ("0.1", "0.9"), ("0", "0.4")]
-BAND_WS = ["0", "0.3", "-0.5"]
+BAND_WS = ["0", "0.3", "-0.5", "0.6", "0.7071067811865476", "-0.7071067811865476"]  # also clipped, and both corners
 SEED = "2024"
 MID_ROW = {"gauss-1", "product-lower"}  # also exported at 300, where CSV pieces end mid-row
 
